@@ -7,7 +7,6 @@ against the dual Lie brackets of infinitesimal-generator jets.
 
 from .detsys import (
     DeterminingSystem,
-    JetSymbol,
     LiftedRelations,
     LinearPdeEquation,
     SolvedSourceRelations,
@@ -20,7 +19,6 @@ from .detsys import (
 from .exterior import McGenerator, OneForm, ThreeForm, TwoForm, d_apply, reduce_form, wedge
 from .jetalg import (
     JetVectorField,
-    MonomialVectorField,
     bracket,
     bracket_monomial,
     check_duality,
@@ -35,7 +33,6 @@ from .kernel import (
     Symbol,
     SymbolKind,
     SymbolTable,
-    declare_symbols,
     parse_expr,
 )
 from .multiindex import MultiIndex, delete_one, factorial_weight, multinomial, sub_multisets
@@ -49,13 +46,13 @@ from .structure import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DeterminingSystem", "JetSymbol", "LiftedRelations", "LinearPdeEquation",
+    "DeterminingSystem", "LiftedRelations", "LinearPdeEquation",
     "SolvedSourceRelations", "lift", "parse_system", "prolong", "reduce_system",
     "solve_to_order", "McGenerator", "OneForm", "TwoForm", "ThreeForm",
-    "d_apply", "reduce_form", "wedge", "JetVectorField", "MonomialVectorField",
+    "d_apply", "reduce_form", "wedge", "JetVectorField",
     "bracket", "bracket_monomial", "check_duality", "jacobi_check",
     "solution_basis", "DegeneratePointError", "McforgeError", "ParseError",
-    "ScalarExpr", "Symbol", "SymbolKind", "SymbolTable", "declare_symbols",
+    "ScalarExpr", "Symbol", "SymbolKind", "SymbolTable",
     "parse_expr", "MultiIndex", "delete_one", "factorial_weight", "multinomial",
     "sub_multisets", "StructureEquationSet", "check_d_squared",
     "diffeo_structure_equation", "pseudo_group_structure", "__version__",

@@ -16,16 +16,13 @@ from .kernel import (
     ScalarExpr,
     SymbolKind,
     SymbolTable,
+    echelon,
     tokenize,
 )
 
 
 class DependentCoframeError(McforgeError):
     """The supplied one-forms are linearly dependent over the function field."""
-
-
-class NotExpressibleError(McforgeError):
-    """d of a coframe form lies outside the span of the wedge basis."""
 
 
 @dataclass
@@ -121,75 +118,29 @@ def wedge_coord(alpha: CoordOneForm, beta: CoordOneForm,
 # ---------------------------------------------------------------------------
 
 
-def _solve_linear(rows: list[dict], rhs: list[ScalarExpr], unknowns: list):
-    """Solve sum_u rows[r][u] * x_u = rhs[r]; returns (solution, residual_rows).
+_ONE = "1"  # the constant column of an augmented row
 
-    Free unknowns are set to zero.  Returns None solution when inconsistent,
-    with the offending residual.
+
+def _solve_linear(rows: list[dict], rhs: list[ScalarExpr], unknowns: list):
+    """Solve sum_u rows[r][u] * x_u = rhs[r], free unknowns at zero.
+
+    The augmented constant column sorts below every unknown, so it is a pivot
+    only when the system is inconsistent; then the result is None.
     """
-    aug = [dict(row) for row in rows]
-    vals = list(rhs)
-    pivots = {}
-    for r in range(len(aug)):
-        row, val = aug[r], vals[r]
-        for u, prow, pval in list(pivots.values()):
-            c = row.pop(u, None)
-            if c is None:
-                continue
-            for uu, vv in prow.items():
-                cur = row.get(uu)
-                nv = -c * vv if cur is None else cur - c * vv
-                if nv.is_zero:
-                    row.pop(uu, None)
-                else:
-                    row[uu] = nv
-            val = val - c * pval
-        if not row:
-            if not val.is_zero:
-                return None, val
-            vals[r] = val
-            continue
-        u = next(iter(sorted(row, key=unknowns.index)))
-        c = row.pop(u)
-        prow = {uu: vv / c for uu, vv in row.items()}
-        pivots[u] = (u, prow, val / c)
-        vals[r] = val
-    # back substitution with free unknowns at zero
-    solution = {u: ScalarExpr(0) for u in unknowns}
-    for u in reversed(list(pivots)):
-        _, prow, pval = pivots[u]
-        acc = pval
-        for uu, vv in prow.items():
-            acc = acc - vv * solution[uu]
-        solution[u] = acc
-    return solution, None
+    rank = {u: -i for i, u in enumerate(unknowns)}
+    rank[_ONE] = -len(unknowns)
+    augmented = [{**row, _ONE: -b} if b else row for row, b in zip(rows, rhs)]
+    solved, _ = echelon(augmented, rank.__getitem__)
+    if _ONE in solved:
+        return None
+    return {u: solved.get(u, {}).get(_ONE, ScalarExpr(0)) for u in unknowns}
 
 
 def coframe_rank_ok(session: CoframeSession) -> bool:
     """Linear independence of the coframe over the rational-function field."""
-    rows = [dict(form.terms) for form in session.forms.values()]
-    pivots = 0
-    used_cols: dict[str, dict] = {}
-    for row in rows:
-        row = dict(row)
-        for col, prow in used_cols.items():
-            c = row.pop(col, None)
-            if c is None:
-                continue
-            for cc, vv in prow.items():
-                cur = row.get(cc)
-                nv = -c * vv if cur is None else cur - c * vv
-                if nv.is_zero:
-                    row.pop(cc, None)
-                else:
-                    row[cc] = nv
-        if not row:
-            return False
-        col = sorted(row, key=session.symbol_order)[0]
-        c = row.pop(col)
-        used_cols[col] = {cc: vv / c for cc, vv in row.items()}
-        pivots += 1
-    return pivots == len(rows)
+    _, redundant = echelon((form.terms for form in session.forms.values()),
+                           lambda name: -session.symbol_order(name))
+    return not redundant
 
 
 @dataclass
@@ -197,7 +148,7 @@ class CoframeReport:
     verified: bool
     residues: dict[str, CoordTwoForm] = field(default_factory=dict)
     expressed: dict[str, list[tuple[ScalarExpr, str, str]]] = field(default_factory=dict)
-    unexpressible: dict[str, ScalarExpr] = field(default_factory=dict)
+    unexpressible: list[str] = field(default_factory=list)
 
     @property
     def ok(self):
@@ -229,9 +180,9 @@ def verify_structure_equations(session: CoframeSession) -> CoframeReport:
     for name in names:
         d_omega = exterior_derivative(session.forms[name], session)
         rhs = [d_omega.terms.get(key, ScalarExpr(0)) for key in keys]
-        solution, residual = _solve_linear(rows, rhs, pair_names)
+        solution = _solve_linear(rows, rhs, pair_names)
         if solution is None:
-            report.unexpressible[name] = residual
+            report.unexpressible.append(name)
             report.verified = False
         else:
             report.expressed[name] = [(c, a, b) for (a, b), c in solution.items()

@@ -2,9 +2,10 @@
 
 The DSL accepts linear homogeneous PDE systems for vector-field jets
 (``eta_xy`` is the second derivative of the eta component by x and y).
+Jets and Maurer-Cartan generators share one key, ``McGenerator(b, A)``.
 Solving puts the system in triangular form over the rational-function field;
-lifting renames source coordinates to targets and jets to Maurer-Cartan
-generators, yielding the linear relations among the restricted forms.
+lifting renames source coordinates to targets, so the solved jet relations
+become the linear relations among the restricted forms.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ import sympy as sp
 from .exterior import McGenerator, OneForm
 from .kernel import (
     ExprParser,
+    InvalidOrderError,
     McforgeError,
     ParseError,
     ScalarExpr,
     Symbol,
     SymbolKind,
     SymbolTable,
-    _nonzero_normal_form,
+    echelon,
     tokenize,
 )
 from .multiindex import MultiIndex, all_indices
@@ -33,43 +35,18 @@ class NonlinearInputError(McforgeError):
     """A product of jet symbols appeared in a determining equation."""
 
 
-class InconsistentSystemError(McforgeError):
-    pass
-
-
-@dataclass(frozen=True)
-class JetSymbol:
-    """zeta^b_A: the A-th derivative of vector-field component b."""
-
-    component: int
-    index: MultiIndex
-
-    def sort_key(self) -> tuple:
-        return (self.index.order, self.component, self.index.entries)
-
-    def __lt__(self, other: "JetSymbol") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __repr__(self):
-        return f"zeta[{self.component}]{self.index.entries}"
-
-
-def term_key(js: JetSymbol) -> tuple:
-    return js.sort_key()
-
-
 @dataclass
 class LinearPdeEquation:
     """Homogeneous linear equation sum coeff(z) * zeta^b_A = 0."""
 
-    terms: dict[JetSymbol, ScalarExpr]
+    terms: dict[McGenerator, ScalarExpr]
 
     @property
     def order(self) -> int:
         return max(js.index.order for js in self.terms)
 
-    def pivot(self) -> JetSymbol:
-        return max(self.terms, key=term_key)
+    def pivot(self) -> McGenerator:
+        return max(self.terms, key=McGenerator.sort_key)
 
     def normal_key(self):
         # scale-invariant canonical key for deduplication
@@ -157,7 +134,7 @@ class _LinearSemantics:
 
     def _jet_symbol(self, text, token):
         if text in self.fields:
-            return JetSymbol(self.fields.index(text), MultiIndex())
+            return McGenerator(self.fields.index(text), MultiIndex())
         if "_" not in text:
             return None
         base, _, suffix = text.rpartition("_")
@@ -168,7 +145,7 @@ class _LinearSemantics:
             raise ParseError(
                 f"cannot read {suffix!r} as derivative coordinates in {text!r}",
                 token.line, token.col)
-        return JetSymbol(self.fields.index(base), MultiIndex(tuple(entries)))
+        return McGenerator(self.fields.index(base), MultiIndex(tuple(entries)))
 
     def add(self, a, b, token):
         jets = dict(a.jets)
@@ -305,7 +282,7 @@ def total_derivative(eq: LinearPdeEquation, a: int,
                      sys: DeterminingSystem) -> LinearPdeEquation:
     """D_{z^a} of a linear equation: differentiate coefficients, shift jets."""
     z_a = sys.source_symbol(a)
-    terms: dict[JetSymbol, ScalarExpr] = {}
+    terms: dict[McGenerator, ScalarExpr] = {}
 
     def bump(js, c):
         if c.is_zero:
@@ -314,14 +291,15 @@ def total_derivative(eq: LinearPdeEquation, a: int,
 
     for js, c in eq.terms.items():
         bump(js, c.diff(z_a))
-        bump(JetSymbol(js.component, js.index.append(a)), c)
+        bump(McGenerator(js.component, js.index.append(a)), c)
     return LinearPdeEquation({k: v for k, v in terms.items() if not v.is_zero})
 
 
 def prolong(sys: DeterminingSystem, n: int) -> DeterminingSystem:
     """Close the system under total derivatives up to jet order n."""
     if n < sys.order:
-        raise ValueError(f"prolongation order {n} below system order {sys.order}")
+        raise InvalidOrderError(
+            f"prolongation order {n} below system order {sys.order}")
     seen: dict[tuple, LinearPdeEquation] = {}
     queue = []
     for eq in sys.equations:
@@ -355,8 +333,8 @@ class SolvedSourceRelations:
 
     system: DeterminingSystem
     order: int
-    solved: dict[JetSymbol, dict[JetSymbol, ScalarExpr]]
-    parametric: list[JetSymbol]
+    solved: dict[McGenerator, dict[McGenerator, ScalarExpr]]
+    parametric: list[McGenerator]
     assumptions: list[ScalarExpr]
     stable: bool = True
 
@@ -376,68 +354,23 @@ def reduce_system(sys: DeterminingSystem,
                   order: Optional[int] = None) -> SolvedSourceRelations:
     """Gaussian elimination, eliminating the highest-ordered jets first.
 
-    ``order`` bounds the parametric enumeration; it defaults to the highest
-    equation order but must be given explicitly for systems with few or no
-    equations (the diffeomorphism pseudo-group has none at all).
+    The assumptions reported are the session's genericity ledger: input
+    coefficient denominators and every non-constant pivot.  ``order`` bounds
+    the parametric enumeration; it defaults to the highest equation order but
+    must be given explicitly for systems with few or no equations (the
+    diffeomorphism pseudo-group has none at all).
     """
-    pivot_rows: dict[JetSymbol, dict[JetSymbol, ScalarExpr]] = {}
-    assumed: list[ScalarExpr] = []
-
-    def note_division(c: ScalarExpr):
-        expr = _nonzero_normal_form(c.expr)
-        if expr is None:
-            return
-        if all(expr != a.expr for a in assumed):
-            assumed.append(ScalarExpr(expr, sys.table))
-
-    def substitute_into(row, pivot, c):
-        for j, v in pivot_rows[pivot].items():
-            cur = row.get(j)
-            nv = c * v if cur is None else cur + c * v
-            if nv.is_zero:
-                row.pop(j, None)
-            else:
-                row[j] = nv
-
-    for eq in sys.equations:
-        row = dict(eq.terms)
-        pivot = None
-        while row:
-            pivot = max(row, key=term_key)
-            if pivot not in pivot_rows:
-                break
-            substitute_into(row, pivot, row.pop(pivot))
-        else:
-            continue  # redundant equation
-        c = row.pop(pivot)
-        note_division(c)
-        rhs = {j: -(v / c) for j, v in row.items()}
-        pivot_rows[pivot] = rhs
-
-    # back substitution: right-hand sides over parametric jets only
-    changed = True
-    while changed:
-        changed = False
-        for p in list(pivot_rows):
-            rhs = pivot_rows[p]
-            hits = [j for j in rhs if j in pivot_rows]
-            if not hits:
-                continue
-            new = dict(rhs)
-            for j in hits:
-                substitute_into(new, j, new.pop(j))
-            pivot_rows[p] = new
-            changed = True
-
+    solved, _ = echelon((eq.terms for eq in sys.equations), McGenerator.sort_key)
     order = sys.order if order is None else max(order, sys.order)
     parametric = [
-        JetSymbol(b, A)
+        McGenerator(b, A)
         for A in all_indices(sys.dim, order)
         for b in range(sys.dim)
-        if JetSymbol(b, A) not in pivot_rows
+        if McGenerator(b, A) not in solved
     ]
-    parametric.sort(key=term_key)
-    return SolvedSourceRelations(sys, order, pivot_rows, parametric, assumed)
+    parametric.sort(key=McGenerator.sort_key)
+    return SolvedSourceRelations(sys, order, solved, parametric,
+                                 list(sys.table.assumed_nonzero))
 
 
 def solve_to_order(sys: DeterminingSystem, order: int,
@@ -482,7 +415,7 @@ class LiftedRelations:
 
 
 def lift(solved: SolvedSourceRelations) -> LiftedRelations:
-    """Replace z by Z and zeta^b_A by mu^b_A, keeping the triangular shape."""
+    """Replace z by Z in every coefficient; a jet's key already names its generator."""
     sys = solved.system
     rename = {sys.source_symbol(a): sys.table.expr(sys.targets[a])
               for a in range(sys.dim)}
@@ -490,12 +423,8 @@ def lift(solved: SolvedSourceRelations) -> LiftedRelations:
     def lift_coeff(c: ScalarExpr) -> ScalarExpr:
         return c.substitute(rename)
 
-    lifted: dict[McGenerator, OneForm] = {}
-    for p, rhs in solved.solved.items():
-        form = OneForm({McGenerator(j.component, j.index): lift_coeff(v)
-                        for j, v in rhs.items()})
-        lifted[McGenerator(p.component, p.index)] = form
-    parametric = [McGenerator(j.component, j.index) for j in solved.parametric]
+    lifted = {p: OneForm({j: lift_coeff(v) for j, v in rhs.items()})
+              for p, rhs in solved.solved.items()}
     assumptions = [lift_coeff(a) for a in solved.assumptions]
-    return LiftedRelations(sys, solved.order, lifted, parametric,
+    return LiftedRelations(sys, solved.order, lifted, list(solved.parametric),
                            assumptions, solved.stable)

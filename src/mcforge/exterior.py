@@ -24,7 +24,11 @@ class MissingRuleError(McforgeError):
 
 @dataclass(frozen=True)
 class McGenerator:
-    """The formal Maurer-Cartan generator mu^a_A (component a, multi-index A)."""
+    """The key (component a, multi-index A).
+
+    It names the Maurer-Cartan generator mu^a_A and, in a determining system,
+    the source jet zeta^a_A that lifts to it.
+    """
 
     component: int
     index: MultiIndex
@@ -83,19 +87,14 @@ class _FormBase:
         raise TypeError(f"{type(self).__name__} is unhashable")
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _key_of(kv[0]))
+        # keys are generators or tuples of them, both ordered by sort_key
+        return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def __repr__(self):
         if self.is_zero:
             return f"{type(self).__name__}(0)"
         body = " + ".join(f"({c})*{k}" for k, c in self.sorted_terms())
         return f"{type(self).__name__}({body})"
-
-
-def _key_of(k):
-    if isinstance(k, McGenerator):
-        return k.sort_key()
-    return tuple(g.sort_key() for g in k)
 
 
 class OneForm(_FormBase):

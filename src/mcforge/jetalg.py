@@ -23,15 +23,6 @@ class TruncationMismatchError(McforgeError):
     pass
 
 
-@dataclass(frozen=True)
-class MonomialVectorField:
-    component: int
-    index: MultiIndex
-
-    def sort_key(self):
-        return (self.index.order, self.component, self.index.entries)
-
-
 def bracket_monomial(a: int, A: MultiIndex, b: int, B: MultiIndex
                      ) -> list[tuple[int, int, MultiIndex]]:
     """[v_a^A, v_b^B] as (integer coefficient, component, index) terms."""

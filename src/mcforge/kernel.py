@@ -38,6 +38,10 @@ class DegeneratePointError(McforgeError):
     """Substitution hit a pole / an assumed-nonzero function vanished."""
 
 
+class InvalidOrderError(McforgeError, ValueError):
+    """A jet or prolongation order outside the range a command accepts."""
+
+
 class ParseError(McforgeError):
     def __init__(self, message, line=None, col=None):
         self.line = line
@@ -51,7 +55,6 @@ class SymbolKind(enum.Enum):
     SOURCE = "source-coordinate"
     TARGET = "target-coordinate"
     JET = "jet-symbol"
-    PARAMETER = "evaluation-parameter"
 
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
@@ -71,8 +74,9 @@ class SymbolTable:
     """Append-only registry of declared symbols plus the genericity ledger.
 
     The genericity ledger (``assumed_nonzero``) collects every non-constant
-    function that has been divided by during the session; all reports surface
-    it so standing assumptions like x != 0 are explicit.
+    function that has been divided by during the session, input-coefficient
+    denominators and elimination pivots alike; all reports surface it so
+    standing assumptions like x != 0 are explicit.
     """
 
     def __init__(self):
@@ -125,23 +129,6 @@ class SymbolTable:
         with self._lock:
             if all(expr != a.expr for a in self.assumed_nonzero):
                 self.assumed_nonzero.append(ScalarExpr(expr, self))
-
-    def kind_of(self, sym: sp.Symbol):
-        entry = self._symbols.get(sym.name)
-        return entry.kind if entry is not None else None
-
-
-def declare_symbols(spec: Iterable[tuple[str, SymbolKind]],
-                    table: SymbolTable | None = None) -> SymbolTable:
-    """Declare a batch of (name, kind) pairs; names must be pairwise distinct."""
-    table = table or SymbolTable()
-    seen = set()
-    for name, kind in spec:
-        if name in seen:
-            raise DuplicateSymbolError(f"duplicate symbol name {name!r}")
-        seen.add(name)
-        table.declare(name, kind)
-    return table
 
 
 def _nonzero_normal_form(expr: sp.Expr):
@@ -301,12 +288,59 @@ class ScalarExpr:
         return sp.latex(self.expr, order="lex")
 
 
-def diff(e: ScalarExpr, s: Symbol) -> ScalarExpr:
-    return e.diff(s)
+# ---------------------------------------------------------------------------
+# Sparse Gauss-Jordan elimination over ScalarExpr
+# ---------------------------------------------------------------------------
 
 
-def substitute(e: ScalarExpr, mapping) -> ScalarExpr:
-    return e.substitute(mapping)
+def _add_multiple(row: dict, other: dict, c: ScalarExpr) -> None:
+    """row += c * other in place, dropping entries that cancel."""
+    for j, v in other.items():
+        cur = row.get(j)
+        nv = c * v if cur is None else cur + c * v
+        if nv.is_zero:
+            row.pop(j, None)
+        else:
+            row[j] = nv
+
+
+def echelon(rows: Iterable[Mapping], key) -> tuple[dict, int]:
+    """Solve the linear forms sum_j row[j] * j = 0, eliminating largest columns first.
+
+    Each row, once the columns already solved for are substituted out, is
+    solved for its largest column under ``key``; a row that vanishes is
+    redundant.  A single upward pass then leaves only free columns on every
+    right-hand side.  Every non-constant pivot coefficient is recorded in its
+    symbol table's genericity ledger, whether or not a division follows.
+
+    Returns ``(solved, redundant)``: pivot -> {free column: coefficient} with
+    pivot = sum coefficient * column, in the order the pivots were found,
+    and the number of redundant rows.
+    """
+    solved: dict = {}
+    redundant = 0
+    for row in rows:
+        row = dict(row)
+        while row:
+            pivot = max(row, key=key)
+            if pivot not in solved:
+                break
+            _add_multiple(row, solved[pivot], row.pop(pivot))
+        else:
+            redundant += 1
+            continue
+        c = row.pop(pivot)
+        if c.table is not None and not c.is_constant:
+            c.table.record_nonzero(c)
+        minus_c = -c
+        solved[pivot] = {j: v / minus_c for j, v in row.items()}
+    # a right-hand side holds only columns below its pivot, so going upward
+    # finishes every pivot before it is substituted anywhere
+    for pivot in sorted(solved, key=key):
+        rhs = solved[pivot]
+        for j in [j for j in rhs if j in solved]:
+            _add_multiple(rhs, solved[j], rhs.pop(j))
+    return solved, redundant
 
 
 # ---------------------------------------------------------------------------

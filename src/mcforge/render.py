@@ -6,7 +6,7 @@ import json
 
 import sympy as sp
 
-from .detsys import DeterminingSystem, JetSymbol, LiftedRelations, term_key
+from .detsys import DeterminingSystem, LiftedRelations
 from .exterior import McGenerator, OneForm, TwoForm
 from .kernel import ScalarExpr
 from .multiindex import render_index
@@ -35,7 +35,7 @@ def gen_latex(g: McGenerator, coords: list[str], targets: list[str]) -> str:
     return f"{head}_{sub}" if len(sub) == 1 else f"{head}_{{{sub}}}"
 
 
-def jet_text(js: JetSymbol, sys: DeterminingSystem) -> str:
+def jet_text(js: McGenerator, sys: DeterminingSystem) -> str:
     name = sys.fields[js.component]
     if js.index.order == 0:
         return name
@@ -177,10 +177,6 @@ def render_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def render_structure_json(eqs: StructureEquationSet) -> str:
-    return render_json(structure_json_obj(eqs))
-
-
 def render_lift_text(rel: LiftedRelations) -> str:
     sys = rel.system
     lines = [f"# lifted determining relations, order {rel.order}"]
@@ -226,7 +222,7 @@ def lift_json_obj(rel: LiftedRelations) -> dict:
 def render_prolong_text(sys: DeterminingSystem) -> str:
     lines = [f"# prolonged system, order {sys.order}, {len(sys.equations)} equations"]
     for eq in sys.equations:
-        terms = sorted(eq.terms.items(), key=lambda kv: term_key(kv[0]), reverse=True)
+        terms = sorted(eq.terms.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
         body = _joined([_with_coeff(c, jet_text(js, sys), times="*")
                         for js, c in terms])
         lines.append(f"{body} = 0")
@@ -236,7 +232,7 @@ def render_prolong_text(sys: DeterminingSystem) -> str:
 def prolong_json_obj(sys: DeterminingSystem) -> dict:
     equations = []
     for eq in sys.equations:
-        terms = sorted(eq.terms.items(), key=lambda kv: term_key(kv[0]), reverse=True)
+        terms = sorted(eq.terms.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
         equations.append([{"jet": jet_text(js, sys), "coeff": coeff_text(c)}
                           for js, c in terms])
     return {"coords": sys.coords, "fields": sys.fields,

@@ -18,7 +18,7 @@ from .exterior import (
     d_apply_two,
     reduce_two,
 )
-from .kernel import McforgeError, ScalarExpr
+from .kernel import InvalidOrderError, McforgeError, ScalarExpr
 from .multiindex import MultiIndex, multinomial, sub_multisets
 
 
@@ -74,7 +74,7 @@ def pseudo_group_structure(sys: DeterminingSystem, n: int,
     diffeomorphism equations are reduced modulo the lifted relations.
     """
     if n < 0:
-        raise ValueError("order must be >= 0")
+        raise InvalidOrderError("order must be >= 0")
     working = n + 1
     solved = solve_to_order(sys, working, cap=cap if cap is not None else n + 3)
     relations = lift(solved)

@@ -193,3 +193,52 @@ def test_color_env_controls_stderr(capsys, monkeypatch):
 def test_unknown_subcommand(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_order_below_system_order_exit_2(capsys):
+    code, _, err = run(capsys, "prolong", "@cartan_essential.dsys", "--order", "0")
+    assert code == 2
+    assert err == "error: prolongation order 0 below system order 1\n"
+
+
+def test_negative_order_exit_2(capsys):
+    code, _, err = run(capsys, "structure", "@cartan_essential.dsys", "--order", "-1")
+    assert code == 2
+    assert err == "error: order must be >= 0\n"
+
+
+# ---------------------------------------------------------------------------
+# Genericity ledger: input-coefficient denominators are reported too
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def pole_input(tmp_path):
+    path = tmp_path / "pole.dsys"
+    path.write_text("coords: x\nfields: xi\neq: xi_x = xi/(x-1)\n")
+    return str(path)
+
+
+def test_input_denominator_is_assumed(capsys, pole_input):
+    code, out, _ = run(capsys, "structure", pole_input, "--order", "1")
+    assert code == 0
+    assert "assuming: X - 1 != 0\n" in out
+
+
+def test_input_denominator_vanishing_at_point(capsys, pole_input):
+    code, _, err = run(capsys, "check-duality", pole_input,
+                       "--order", "1", "--point", "x=1")
+    assert code == 2
+    assert err == "error: assumed-nonzero function x - 1 vanishes at the point\n"
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("@cartan_essential.dsys", ["X"]),
+    ("@intransitive_translation.dsys", ["X"]),
+    ("janet", []),
+])
+def test_bundled_assumptions_unchanged(capsys, janet_file, source, expected):
+    source = janet_file if source == "janet" else source
+    code, out, _ = run(capsys, "structure", source, "--order", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["assumptions"] == expected

@@ -2,7 +2,6 @@ import pytest
 
 from mcforge.detsys import (
     DeterminingSystem,
-    JetSymbol,
     NonlinearInputError,
     lift,
     parse_system,
@@ -17,7 +16,7 @@ from mcforge.multiindex import MultiIndex
 
 
 def js(comp, *entries):
-    return JetSymbol(comp, MultiIndex(entries))
+    return McGenerator(comp, MultiIndex(entries))
 
 
 def mc(comp, *entries):

@@ -1,0 +1,38 @@
+"""Byte-for-byte CLI output against the files in tests/golden/.
+
+A golden file changes only when a change means to change the output; the
+commit that does so says why.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from mcforge.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    ("structure_essential_o3.txt",
+     ["structure", "@cartan_essential.dsys", "--order", "3"]),
+    ("structure_essential_o3.tex",
+     ["structure", "@cartan_essential.dsys", "--order", "3", "--format", "latex"]),
+    ("structure_essential_o3.json",
+     ["structure", "@cartan_essential.dsys", "--order", "3", "--format", "json"]),
+    ("lift_translation_o3.txt",
+     ["lift", "@intransitive_translation.dsys", "--order", "3"]),
+    ("prolong_essential_o2.txt",
+     ["prolong", "@cartan_essential.dsys", "--order", "2"]),
+    ("structure_janet_o4_cap7.txt",
+     ["structure", "{janet}", "--order", "4", "--cap", "7"]),
+    ("verify_coframe_example2.json",
+     ["verify-coframe", "@cartan_example2.coframe", "--format", "json"]),
+]
+
+
+@pytest.mark.parametrize("golden, argv", CASES, ids=[c[0] for c in CASES])
+def test_golden_output(golden, argv, capsys, janet_file):
+    code = main([a.format(janet=janet_file) for a in argv])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()

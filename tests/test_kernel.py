@@ -13,6 +13,7 @@ from mcforge.kernel import (
     SymbolTable,
     UnknownSymbolError,
     ZeroDivisionFunctionError,
+    echelon,
     parse_expr,
 )
 
@@ -62,6 +63,28 @@ def test_division_by_constant_not_recorded(table):
     before = len(table.assumed_nonzero)
     _ = table.expr("x") / 2
     assert len(table.assumed_nonzero) == before
+
+
+def test_echelon_solves_and_back_substitutes(table):
+    x = table.expr("x")
+    one = ScalarExpr(1, table)
+    # a + b + c = 0, b - x*c = 0, 2a + 2b + 2c = 0; pivot on the largest column
+    rows = [{"a": one, "b": one, "c": one}, {"b": one, "c": -x},
+            {"a": 2 * one, "b": 2 * one, "c": 2 * one}]
+    solved, redundant = echelon(rows, key=lambda col: col)
+    assert redundant == 1
+    assert list(solved) == ["c", "b"]
+    assert set(solved["b"]) == {"a"} and set(solved["c"]) == {"a"}
+    assert solved["b"]["a"] == -x / (x + 1)
+    assert solved["c"]["a"] == -one / (x + 1)
+
+
+def test_echelon_records_pivot_without_division(table):
+    # x*a = 0 solves to a = 0 with no division, yet relies on x != 0
+    x = table.expr("x")
+    solved, _ = echelon([{"a": x}], key=lambda col: col)
+    assert solved == {"a": {}}
+    assert [str(a) for a in table.assumed_nonzero] == ["x"]
 
 
 def test_diff(table):
