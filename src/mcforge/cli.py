@@ -139,6 +139,9 @@ def cmd_check_duality(args) -> int:
     point = _parse_point(args.point, system.coords)
     eqs = structure.pseudo_group_structure(system, args.order, cap=args.cap)
     basis = jetalg.solution_basis(system, point, args.order + 1, cap=args.cap)
+    if len(basis) < 2:
+        sys.stderr.write(f"warning: solution basis has dimension {len(basis)}; "
+                         "no pair of jets to check\n")
     report = jetalg.check_duality(eqs, basis, point)
     if args.format == "json":
         obj = {"order": args.order, "pairings": report.pairings, "ok": report.ok,

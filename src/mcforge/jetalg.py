@@ -8,6 +8,7 @@ extend them bilinearly, losing one order per bracket.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -42,11 +43,25 @@ def bracket_monomial(a: int, A: MultiIndex, b: int, B: MultiIndex
     return [(c, comp, idx) for (comp, idx), c in combined.items() if c != 0]
 
 
+def _rational(value) -> Fraction:
+    """An int, a Fraction or a constant ScalarExpr as an exact Fraction.
+
+    Jet coefficients and evaluation points take these; anything else, a
+    symbol included, is refused with McforgeError.
+    """
+    if isinstance(value, ScalarExpr):
+        return value.as_fraction()
+    if isinstance(value, numbers.Rational):
+        return Fraction(value)
+    raise McforgeError(f"{value!r} is not a rational number")
+
+
 class JetVectorField:
     """Truncated Taylor jet of a vector field at the session base point.
 
-    Coefficients map (component, multi-index) to exact scalars; everything of
-    order above the truncation is dropped.
+    Coefficients map (component, multi-index) to nonzero Fractions: a jet
+    lives at one rational point, so its data are exact rationals.  Everything
+    of order above the truncation is dropped.
     """
 
     __slots__ = ("coefficients", "truncation")
@@ -54,25 +69,25 @@ class JetVectorField:
     def __init__(self, coefficients: Mapping, truncation: int):
         self.truncation = truncation
         coeffs = {}
-        for (comp, idx), value in coefficients.items():
-            if idx.order > truncation:
+        for key, value in coefficients.items():
+            if key[1].order > truncation:
                 continue
-            if not isinstance(value, ScalarExpr):
-                value = ScalarExpr(value)
-            if not value.is_zero:
-                coeffs[(comp, idx)] = value
+            if type(value) is not Fraction:
+                value = _rational(value)
+            if value:
+                coeffs[key] = value
         self.coefficients = coeffs
 
     @classmethod
     def monomial(cls, comp: int, idx: MultiIndex, truncation: int) -> "JetVectorField":
-        return cls({(comp, idx): ScalarExpr(1)}, truncation)
+        return cls({(comp, idx): Fraction(1)}, truncation)
 
     @property
     def is_zero(self) -> bool:
         return not self.coefficients
 
     def coefficient(self, comp: int, idx: MultiIndex) -> ScalarExpr:
-        return self.coefficients.get((comp, idx), ScalarExpr(0))
+        return ScalarExpr(self.coefficients.get((comp, idx), 0))
 
     def pair(self, g: McGenerator) -> ScalarExpr:
         """Dual pairing <mu^a_A, jet> = coefficient at (a, A)."""
@@ -89,23 +104,21 @@ class JetVectorField:
             raise TruncationMismatchError("mismatched truncations")
         coeffs = dict(self.coefficients)
         for key, v in other.coefficients.items():
-            coeffs[key] = coeffs[key] + v if key in coeffs else v
+            coeffs[key] = coeffs.get(key, 0) + v
         return JetVectorField(coeffs, self.truncation)
 
     def __sub__(self, other):
-        return self + other.scale(ScalarExpr(-1))
+        return self + other.scale(-1)
 
     def scale(self, c) -> "JetVectorField":
-        if not isinstance(c, ScalarExpr):
-            c = ScalarExpr(c)
+        c = _rational(c)
         return JetVectorField(
             {k: v * c for k, v in self.coefficients.items()}, self.truncation)
 
     def __eq__(self, other):
         if not isinstance(other, JetVectorField):
             return NotImplemented
-        keys = set(self.coefficients) | set(other.coefficients)
-        return all(self.coefficient(*k) == other.coefficient(*k) for k in keys)
+        return self.coefficients == other.coefficients
 
     def __repr__(self):
         items = sorted(self.coefficients.items(),
@@ -128,8 +141,7 @@ def bracket(v: JetVectorField, w: JetVectorField) -> JetVectorField:
                 if idx.order > out_trunc:
                     continue
                 key = (comp, idx)
-                term = cv * cw * c
-                coeffs[key] = coeffs[key] + term if key in coeffs else term
+                coeffs[key] = coeffs.get(key, 0) + cv * cw * c
     return JetVectorField(coeffs, out_trunc)
 
 
@@ -139,7 +151,7 @@ def _point_map(sys: DeterminingSystem, point: Mapping[str, object], target: bool
     for a, coord in enumerate(sys.coords):
         if coord not in point:
             raise McforgeError(f"missing coordinate {coord!r} in evaluation point")
-        out[sys.table.lookup(names[a])] = point[coord]
+        out[sys.table.lookup(names[a])] = _rational(point[coord])
     return out
 
 
@@ -153,7 +165,8 @@ def solution_basis(sys: DeterminingSystem, point: Mapping[str, object],
     """Echelon basis of the determining system's solution jets at the point.
 
     The system is solved one order above N so that order-N data is exact.
-    Values in ``point`` may be rationals or declared parameter symbols.
+    Values in ``point`` must be rationals (int or Fraction); each dependent
+    coefficient is evaluated there once, into a Fraction.
     """
     sol = solve_to_order(sys, N + 1, cap=cap)
     subs = _point_map(sys, point, target=False)
@@ -167,14 +180,11 @@ def solution_basis(sys: DeterminingSystem, point: Mapping[str, object],
     for p in sol.parametric:
         if p.index.order > N:
             continue
-        coeffs = {(p.component, p.index): ScalarExpr(1)}
+        coeffs = {(p.component, p.index): Fraction(1)}
         for d, rhs in dependents:
             c = rhs.get(p)
-            if c is None:
-                continue
-            value = c.substitute(subs)
-            if not value.is_zero:
-                coeffs[(d.component, d.index)] = value
+            if c is not None:
+                coeffs[(d.component, d.index)] = c.substitute(subs).as_fraction()
         basis.append(JetVectorField(coeffs, N))
     return basis
 
@@ -199,27 +209,37 @@ def check_duality(eqs: StructureEquationSet, basis: list[JetVectorField],
                   point: Mapping[str, object]) -> DualityReport:
     """Check (d g)(v_i, v_j) = -<g, [v_i, v_j]> for all basis generators and jet pairs.
 
-    Structure-equation coefficients are evaluated at the target point, which
-    coincides with the source point on the identity fiber.
+    Structure-equation coefficients are evaluated once, into Fractions, at the
+    target point, which coincides with the source point on the identity fiber.
+    Each d g becomes an antisymmetric matrix over jet keys, stored as one
+    table: ``table[(h, k)]`` lists ``(g, c)`` and ``table[(k, h)]`` lists
+    ``(g, -c)``.  A pair of jets then only visits the products of their
+    supports, and every comparison is equality in Q.
     """
     subs = _point_map(eqs.system, point, target=True)
-    evaluated = {}
+    table: dict = {}
     for g in eqs.basis:
-        evaluated[g] = [(h, k, c.substitute(subs))
-                        for (h, k), c in eqs.equations[g].terms.items()]
+        for (h, k), c in eqs.equations[g].terms.items():
+            value = c.substitute(subs).as_fraction()
+            if value:
+                hk, kh = (h.component, h.index), (k.component, k.index)
+                table.setdefault((hk, kh), []).append((g, value))
+                table.setdefault((kh, hk), []).append((g, -value))
     pairings = 0
     violations = []
     for i, j in itertools.combinations(range(len(basis)), 2):
-        vi, vj = basis[i], basis[j]
-        br = bracket(vi, vj)
+        lhs: dict = {}
+        for a, ca in basis[i].coefficients.items():
+            for b, cb in basis[j].coefficients.items():
+                for g, c in table.get((a, b), ()):
+                    lhs[g] = lhs.get(g, 0) + c * ca * cb
+        br = bracket(basis[i], basis[j]).coefficients
         for g in eqs.basis:
-            lhs = ScalarExpr(0)
-            for h, k, c in evaluated[g]:
-                lhs = lhs + c * (vi.pair(h) * vj.pair(k) - vj.pair(h) * vi.pair(k))
-            rhs = -br.pair(g)
             pairings += 1
-            if lhs != rhs:
-                violations.append((g, i, j, lhs, rhs))
+            left = lhs.get(g, 0)
+            right = -br.get((g.component, g.index), 0)
+            if left != right:
+                violations.append((g, i, j, ScalarExpr(left), ScalarExpr(right)))
     return DualityReport(pairings, violations)
 
 

@@ -83,6 +83,7 @@ class SymbolTable:
         self._symbols: dict[str, Symbol] = {}
         self._lock = threading.Lock()
         self.assumed_nonzero: list[ScalarExpr] = []
+        self._recorded: set[sp.Expr] = set()  # raw values already normalized
 
     def declare(self, name: str, kind: SymbolKind) -> Symbol:
         if not _NAME_RE.match(name):
@@ -123,11 +124,15 @@ class SymbolTable:
         return ScalarExpr(symbol.sym, self)
 
     def record_nonzero(self, value: "ScalarExpr") -> None:
-        expr = _nonzero_normal_form(value.expr)
-        if expr is None:
-            return
+        # a raw value seen before is constant or already in the ledger
+        raw = value.expr
         with self._lock:
-            if all(expr != a.expr for a in self.assumed_nonzero):
+            if raw in self._recorded:
+                return
+        expr = _nonzero_normal_form(raw)
+        with self._lock:
+            self._recorded.add(raw)
+            if expr is not None and all(expr != a.expr for a in self.assumed_nonzero):
                 self.assumed_nonzero.append(ScalarExpr(expr, self))
 
 

@@ -39,10 +39,6 @@ class MultiIndex:
     def append(self, a: int) -> "MultiIndex":
         return MultiIndex(self.entries + (a,))
 
-    def contains(self, other: "MultiIndex") -> bool:
-        mine = self.counts()
-        return all(mine.get(e, 0) >= c for e, c in other.counts().items())
-
     def minus(self, other: "MultiIndex") -> "MultiIndex":
         mine = self.counts()
         for e, c in other.counts().items():
@@ -75,11 +71,18 @@ def factorial_weight(A: MultiIndex) -> int:
 
 
 def multinomial(C: MultiIndex, A: MultiIndex) -> int:
-    """(C choose A) = C!/(A! B!) with B = C minus A; 0 if A is not inside C."""
-    if not C.contains(A):
-        return 0
-    B = C.minus(A)
-    return factorial_weight(C) // (factorial_weight(A) * factorial_weight(B))
+    """(C choose A) = C!/(A! B!) with B = C minus A; 0 if A is not inside C.
+
+    Coordinate by coordinate this is a product of binomials.
+    """
+    in_C = C.counts()
+    out = 1
+    for e, k in A.counts().items():
+        n = in_C.get(e, 0)
+        if n < k:
+            return 0
+        out *= math.comb(n, k)
+    return out
 
 
 def sub_multisets(C: MultiIndex) -> list[tuple[MultiIndex, MultiIndex]]:

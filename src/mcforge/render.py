@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import sympy as sp
 
@@ -42,7 +43,10 @@ def jet_text(js: McGenerator, sys: DeterminingSystem) -> str:
     return f"{name}_{render_index(js.index, sys.coords)}"
 
 
-def coeff_text(c: ScalarExpr) -> str:
+def coeff_text(c: ScalarExpr | Fraction) -> str:
+    # str(Fraction) spells p/q exactly as sympy prints the equal Rational
+    if isinstance(c, Fraction):
+        return str(c)
     return sp.sstr(c.expr, order="lex")
 
 

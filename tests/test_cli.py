@@ -225,6 +225,25 @@ def test_input_denominator_is_assumed(capsys, pole_input):
     assert "assuming: X - 1 != 0\n" in out
 
 
+@pytest.mark.parametrize("source, point", [
+    ("@intransitive_translation.dsys", "x=2,y=3"),
+    ("pole", "x=2"),
+])
+def test_check_duality_warns_on_one_dimensional_basis(capsys, pole_input, source, point):
+    source = pole_input if source == "pole" else source
+    code, out, err = run(capsys, "check-duality", source, "--order", "1", "--point", point)
+    assert code == 0
+    assert out == "0 pairings checked, 0 violations\n"
+    assert err == "warning: solution basis has dimension 1; no pair of jets to check\n"
+
+
+def test_check_duality_no_warning_with_pairs(capsys):
+    code, _, err = run(capsys, "check-duality", "@cartan_essential.dsys",
+                       "--order", "1", "--point", "x=2/3,y=-1,z=5")
+    assert code == 0
+    assert err == ""
+
+
 def test_input_denominator_vanishing_at_point(capsys, pole_input):
     code, _, err = run(capsys, "check-duality", pole_input,
                        "--order", "1", "--point", "x=1")

@@ -25,6 +25,11 @@ CASES = [
      ["prolong", "@cartan_essential.dsys", "--order", "2"]),
     ("structure_janet_o4_cap7.txt",
      ["structure", "{janet}", "--order", "4", "--cap", "7"]),
+    ("bracket_essential_o2_point.txt",
+     ["bracket", "@cartan_essential.dsys", "--order", "2", "--point", "x=2/3,y=-1,z=5"]),
+    ("bracket_essential_o2_point.json",
+     ["bracket", "@cartan_essential.dsys", "--order", "2", "--point", "x=2/3,y=-1,z=5",
+      "--format", "json"]),
     ("verify_coframe_example2.json",
      ["verify-coframe", "@cartan_example2.coframe", "--format", "json"]),
 ]

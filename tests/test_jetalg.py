@@ -1,12 +1,15 @@
+import dataclasses
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, reject, settings, strategies as st
 
-from mcforge.detsys import DeterminingSystem, prolong
-from mcforge.exterior import McGenerator
+from mcforge.detsys import DeterminingSystem, parse_system, prolong
+from mcforge.exterior import McGenerator, TwoForm
 from mcforge.jetalg import (
     JetVectorField,
     TruncationMismatchError,
@@ -19,9 +22,12 @@ from mcforge.jetalg import (
     solution_basis,
     structure_constants,
 )
-from mcforge.kernel import DegeneratePointError, ScalarExpr
+from mcforge.kernel import DegeneratePointError, McforgeError, ScalarExpr
 from mcforge.multiindex import MultiIndex, all_indices, factorial_weight
+from mcforge.render import coeff_text
 from mcforge.structure import pseudo_group_structure
+
+from conftest import bundled
 
 
 def mi(*entries):
@@ -121,6 +127,30 @@ def test_bracket_antisymmetric_bilinear():
     assert bracket(u, u).is_zero
 
 
+def test_jet_coefficients_are_exact_rationals(essential_system):
+    x = essential_system.table.expr("x")
+    key = (0, mi())
+    equal = [JetVectorField({key: value}, 1)
+             for value in (2, Fraction(2), ScalarExpr(2), 2 * x / x)]
+    assert all(v == equal[0] for v in equal)
+    assert all(v.coefficients == {key: Fraction(2)} for v in equal)
+    assert all(type(c) is Fraction for c in equal[0].coefficients.values())
+    assert equal[0].pair(McGenerator(*key)) == 2  # a ScalarExpr at the boundary
+
+
+def test_jet_rejects_non_constant_coefficients(essential_system):
+    x = essential_system.table.expr("x")
+    with pytest.raises(McforgeError):
+        JetVectorField({(0, mi()): x}, 1)
+    with pytest.raises(McforgeError):
+        JetVectorField.monomial(0, mi(), 1).scale(x)
+
+
+@given(st.fractions(min_value=-1000, max_value=1000, max_denominator=50))
+def test_fraction_renders_like_scalar(q):
+    assert coeff_text(q) == coeff_text(ScalarExpr(q))
+
+
 def test_jacobi_on_monomial_bases():
     for m in (1, 2):
         sys = DeterminingSystem.empty(["x", "y"][:m])
@@ -149,6 +179,14 @@ def test_translation_solution_basis(translation_system):
     (v,) = basis
     # the jet of x d_y at (1, 0): eta = 1, eta_x = 1, all else zero
     assert v.coefficients == {(1, mi()): ScalarExpr(1), (1, mi(0)): ScalarExpr(1)}
+
+
+@pytest.mark.parametrize("source", [None, "intransitive_translation.dsys"])
+def test_symbolic_point_value_rejected(source):
+    sys = (DeterminingSystem.empty(["x", "y"]) if source is None
+           else parse_system(bundled(source)))
+    with pytest.raises(McforgeError):
+        solution_basis(sys, {"x": sp.Symbol("a"), "y": 0}, 2)
 
 
 def test_translation_degenerate_point(translation_system):
@@ -236,6 +274,60 @@ def test_duality_detects_wrong_sign(essential_system):
     basis = solution_basis(essential_system, point, 2)
     report = check_duality(eqs, basis, point)
     assert not report.ok
+
+
+@functools.cache
+def _mutation_case(name):
+    """(system, order-n structure equations, basis truncation n + 1)."""
+    if name == "essential_o1":
+        system, order = parse_system(bundled("cartan_essential.dsys")), 1
+    else:
+        system, order = DeterminingSystem.empty(["x", "y"]), 2
+    return system, pseudo_group_structure(system, order), order + 1
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+def _assert_every_negated_term_caught(name, data):
+    """Untouched equations pass; negating any one term that the basis sees fails."""
+    system, eqs, N = _mutation_case(name)
+    point = {c: data.draw(rationals, label=c) for c in system.coords}
+    try:
+        basis = solution_basis(system, point, N)
+        report = check_duality(eqs, basis, point)
+    except DegeneratePointError:
+        reject()
+    assert report.ok
+    assert report.pairings == math.comb(len(basis), 2) * len(eqs.basis)
+    # reversed, each pair meets the (k, h) half of the antisymmetric table
+    assert check_duality(eqs, basis[::-1], point).ok
+    at_target = {system.table.lookup(t): point[c]
+                 for c, t in zip(system.coords, system.targets)}
+    mutated = 0
+    for g in eqs.basis:
+        for (h, k), c in eqs.equations[g].terms.items():
+            if max(h.index.order, k.index.order) > N or c.substitute(at_target).is_zero:
+                continue
+            terms = dict(eqs.equations[g].terms)
+            terms[(h, k)] = -c
+            bad = dataclasses.replace(eqs, equations={**eqs.equations, g: TwoForm(terms)})
+            assert check_duality(bad, basis, point).violations, (g, h, k)
+            mutated += 1
+    assert mutated > 0
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_duality_catches_negated_term_essential(data):
+    _assert_every_negated_term_caught("essential_o1", data)
+
+
+@settings(max_examples=2, deadline=None)
+@given(st.data())
+def test_duality_catches_negated_term_diffeo(data):
+    # integer coefficients and monomial jets: the point changes nothing here
+    _assert_every_negated_term_caught("diffeo_m2_o2", data)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, strategies as st
 
+from mcforge import kernel
 from mcforge.kernel import (
     DegeneratePointError,
     DuplicateSymbolError,
@@ -63,6 +64,18 @@ def test_division_by_constant_not_recorded(table):
     before = len(table.assumed_nonzero)
     _ = table.expr("x") / 2
     assert len(table.assumed_nonzero) == before
+
+
+def test_ledger_normalizes_each_raw_value_once(table, monkeypatch):
+    calls = []
+    normal_form = kernel._nonzero_normal_form
+    monkeypatch.setattr(kernel, "_nonzero_normal_form",
+                        lambda expr: calls.append(expr) or normal_form(expr))
+    x, y = table.expr("x"), table.expr("y")
+    for value in (2 * x, x * y, 2 * x, -x, x * y, ScalarExpr(3, table)):
+        table.record_nonzero(value)
+    assert [str(a) for a in table.assumed_nonzero] == ["x", "x*y"]
+    assert len(calls) == 4  # 2*x and x*y come back once each and are skipped
 
 
 def test_echelon_solves_and_back_substitutes(table):
