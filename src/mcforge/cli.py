@@ -221,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
         if order:
             p.add_argument("--order", type=int, required=True)
         p.add_argument("--cap", type=int, default=None,
-                       help="max prolongation order for the fixed-point loop")
+                       help="max prolongation order for the fixed-point loop "
+                            "(at least --order)")
         p.add_argument("--format", choices=["text", "latex", "json"], default="text")
 
     p = sub.add_parser("structure", help="pseudo-group structure equations")
@@ -267,6 +268,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        order = getattr(args, "order", None)
+        if args.cap is not None and order is not None and args.cap < order:
+            raise McforgeError(f"--cap {args.cap} below --order {order}")
         return args.func(args)
     except McforgeError as exc:
         sys.stderr.write(_diag(f"error: {exc}") + "\n")

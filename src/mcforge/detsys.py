@@ -25,7 +25,9 @@ from .kernel import (
     Symbol,
     SymbolKind,
     SymbolTable,
+    back_substitute,
     echelon,
+    eliminate_forward,
     tokenize,
 )
 from .multiindex import MultiIndex, all_indices
@@ -295,31 +297,72 @@ def total_derivative(eq: LinearPdeEquation, a: int,
     return LinearPdeEquation({k: v for k, v in terms.items() if not v.is_zero})
 
 
+class _Closure:
+    """The derivative closure of a system up to a jet-order bound.
+
+    Equations are deduplicated by normal key and closed under total
+    derivatives of order <= ``bound``; derivatives of order ``bound + 1`` are
+    kept in ``pending``, grouped by the equation they came from, so the bound
+    can be raised one order at a time.  A total derivative raises the order by
+    exactly one, so raising the bound from k to k + 1 admits the same
+    equations, with the same representatives, as closing from scratch at
+    k + 1: the depth-first traversal at k + 1 is the traversal at k with the
+    order-(k+1) derivatives visited right after their parents.
+    """
+
+    def __init__(self, sys: DeterminingSystem, bound: int):
+        self.sys = sys
+        self.bound = bound
+        self.seen: set[tuple] = set()  # normal keys
+        self.pending: list[list[LinearPdeEquation]] = []
+        self.rows = self._admit([sys.equations])
+
+    def raise_bound(self) -> list[LinearPdeEquation]:
+        """Raise the bound by one; returns the new equations in row order."""
+        groups, self.pending = self.pending, []
+        self.bound += 1
+        new = self._admit(groups)
+        self.rows += new
+        return new
+
+    def _admit(self, groups) -> list[LinearPdeEquation]:
+        new: list[tuple[tuple, LinearPdeEquation]] = []
+        queue: list[LinearPdeEquation] = []
+
+        def push(eqs):
+            for eq in eqs:
+                key = eq.normal_key()
+                if key not in self.seen:
+                    self.seen.add(key)
+                    queue.append(eq)
+                    new.append((key, eq))
+
+        for group in groups:
+            push(group)
+            while queue:
+                eq = queue.pop()
+                derived = [total_derivative(eq, a, self.sys) for a in range(self.sys.dim)]
+                if eq.order < self.bound:
+                    push(derived)
+                else:
+                    self.pending.append(derived)
+        # after a raise every new row has the new bound as its order, so the
+        # new rows sort after every earlier row
+        new.sort(key=lambda item: (item[1].pivot().sort_key(), str(item[0])))
+        return [eq for _, eq in new]
+
+    def system(self) -> DeterminingSystem:
+        sys = self.sys
+        return DeterminingSystem(sys.table, sys.coords, sys.targets, sys.fields,
+                                 list(self.rows))
+
+
 def prolong(sys: DeterminingSystem, n: int) -> DeterminingSystem:
     """Close the system under total derivatives up to jet order n."""
     if n < sys.order:
         raise InvalidOrderError(
             f"prolongation order {n} below system order {sys.order}")
-    seen: dict[tuple, LinearPdeEquation] = {}
-    queue = []
-    for eq in sys.equations:
-        key = eq.normal_key()
-        if key not in seen:
-            seen[key] = eq
-            queue.append(eq)
-    while queue:
-        eq = queue.pop()
-        for a in range(sys.dim):
-            deq = total_derivative(eq, a, sys)
-            if not deq.terms or deq.order > n:
-                continue
-            key = deq.normal_key()
-            if key not in seen:
-                seen[key] = deq
-                queue.append(deq)
-    equations = sorted(seen.values(),
-                       key=lambda e: (e.pivot().sort_key(), str(e.normal_key())))
-    return DeterminingSystem(sys.table, sys.coords, sys.targets, sys.fields, equations)
+    return _Closure(sys, n).system()
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +393,17 @@ class SolvedSourceRelations:
             for p, rhs in self.solved.items())
 
 
+def _parametric(dim: int, order: int, solved) -> list[McGenerator]:
+    parametric = [
+        McGenerator(b, A)
+        for A in all_indices(dim, order)
+        for b in range(dim)
+        if McGenerator(b, A) not in solved
+    ]
+    parametric.sort(key=McGenerator.sort_key)
+    return parametric
+
+
 def reduce_system(sys: DeterminingSystem,
                   order: Optional[int] = None) -> SolvedSourceRelations:
     """Gaussian elimination, eliminating the highest-ordered jets first.
@@ -362,14 +416,7 @@ def reduce_system(sys: DeterminingSystem,
     """
     solved, _ = echelon((eq.terms for eq in sys.equations), McGenerator.sort_key)
     order = sys.order if order is None else max(order, sys.order)
-    parametric = [
-        McGenerator(b, A)
-        for A in all_indices(sys.dim, order)
-        for b in range(sys.dim)
-        if McGenerator(b, A) not in solved
-    ]
-    parametric.sort(key=McGenerator.sort_key)
-    return SolvedSourceRelations(sys, order, solved, parametric,
+    return SolvedSourceRelations(sys, order, solved, _parametric(sys.dim, order, solved),
                                  list(sys.table.assumed_nonzero))
 
 
@@ -377,24 +424,41 @@ def solve_to_order(sys: DeterminingSystem, order: int,
                    cap: Optional[int] = None) -> SolvedSourceRelations:
     """Prolong-and-solve until the solved shape at the working order stabilizes.
 
-    Late integrability conditions show up as new low-order relations when the
-    system is prolonged further; if the shape is still changing at the cap the
-    result is flagged unstable.
+    ``order`` is the working order: the result holds the relations and
+    parametric jets of order <= ``order``, and ``stable`` says whether their
+    shape was unchanged by the last prolongation step.  It concerns this order
+    only (``pseudo_group_structure`` at order n solves at n + 1).
+
+    The system is prolonged to k = max(order, system order), k + 1, ... up to
+    ``cap`` (default ``order + 2``); a cap below k + 1 is raised to k + 1, so
+    at least one step is compared.  Late integrability conditions show up as
+    new low-order relations when the system is prolonged further; if the
+    shape is still changing at the cap the result is flagged unstable.
+
+    Each step derives only the equations of the new order and feeds only their
+    rows to the forward elimination kept from the step before; only pivots of
+    order <= ``order`` are back-substituted.  The result equals prolonging and
+    reducing from scratch at every order, genericity ledger included.
     """
     start = max(order, sys.order)
     cap = max(cap if cap is not None else order + 2, start + 1)
+    closure = _Closure(sys, start)
+    forward: dict = {}
+    new_rows = closure.rows
     prev_shape = None
-    last = None
-    for k in range(start, cap + 1):
-        sol = reduce_system(prolong(sys, k), order=k).restricted(order)
+    while True:
+        eliminate_forward(forward, (eq.terms for eq in new_rows), McGenerator.sort_key)
+        solved = back_substitute(forward, McGenerator.sort_key,
+                                 [p for p in forward if p.index.order <= order])
+        sol = SolvedSourceRelations(closure.system(), order, solved,
+                                    _parametric(sys.dim, order, forward),
+                                    list(sys.table.assumed_nonzero))
         shape = sol.shape_key()
-        if shape == prev_shape:
-            sol.stable = True
+        if shape == prev_shape or closure.bound == cap:
+            sol.stable = shape == prev_shape
             return sol
         prev_shape = shape
-        last = sol
-    last.stable = False
-    return last
+        new_rows = closure.raise_bound()
 
 
 # ---------------------------------------------------------------------------

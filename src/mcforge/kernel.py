@@ -13,7 +13,7 @@ import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 import sympy as sp
 
@@ -309,28 +309,24 @@ def _add_multiple(row: dict, other: dict, c: ScalarExpr) -> None:
             row[j] = nv
 
 
-def echelon(rows: Iterable[Mapping], key) -> tuple[dict, int]:
-    """Solve the linear forms sum_j row[j] * j = 0, eliminating largest columns first.
+def eliminate_forward(forward: dict, rows: Iterable[Mapping], key) -> int:
+    """Forward phase of ``echelon``: append ``rows`` to ``forward`` in place.
 
+    ``forward`` maps each pivot found so far to its unreduced right-hand side.
     Each row, once the columns already solved for are substituted out, is
     solved for its largest column under ``key``; a row that vanishes is
-    redundant.  A single upward pass then leaves only free columns on every
-    right-hand side.  Every non-constant pivot coefficient is recorded in its
-    symbol table's genericity ledger, whether or not a division follows.
-
-    Returns ``(solved, redundant)``: pivot -> {free column: coefficient} with
-    pivot = sum coefficient * column, in the order the pivots were found,
-    and the number of redundant rows.
+    redundant.  Every non-constant pivot coefficient is recorded in its symbol
+    table's genericity ledger, whether or not a division follows.  Returns the
+    number of redundant rows.
     """
-    solved: dict = {}
     redundant = 0
     for row in rows:
         row = dict(row)
         while row:
             pivot = max(row, key=key)
-            if pivot not in solved:
+            if pivot not in forward:
                 break
-            _add_multiple(row, solved[pivot], row.pop(pivot))
+            _add_multiple(row, forward[pivot], row.pop(pivot))
         else:
             redundant += 1
             continue
@@ -338,14 +334,39 @@ def echelon(rows: Iterable[Mapping], key) -> tuple[dict, int]:
         if c.table is not None and not c.is_constant:
             c.table.record_nonzero(c)
         minus_c = -c
-        solved[pivot] = {j: v / minus_c for j, v in row.items()}
+        forward[pivot] = {j: v / minus_c for j, v in row.items()}
+    return redundant
+
+
+def back_substitute(forward: Mapping, key, pivots: Optional[Iterable] = None) -> dict:
+    """Upward phase of ``echelon``: leave only free columns on each right-hand side.
+
+    ``forward`` is left as it is.  ``pivots`` (default: all of them) must hold
+    every pivot below any of its members under ``key``.  Returns pivot ->
+    {free column: coefficient} for those pivots, in ``forward``'s order.
+    """
+    done: dict = {}
     # a right-hand side holds only columns below its pivot, so going upward
     # finishes every pivot before it is substituted anywhere
-    for pivot in sorted(solved, key=key):
-        rhs = solved[pivot]
-        for j in [j for j in rhs if j in solved]:
-            _add_multiple(rhs, solved[j], rhs.pop(j))
-    return solved, redundant
+    for pivot in sorted(forward if pivots is None else pivots, key=key):
+        rhs = dict(forward[pivot])
+        for j in [j for j in rhs if j in forward]:
+            _add_multiple(rhs, done[j], rhs.pop(j))
+        done[pivot] = rhs
+    return {p: done[p] for p in forward if p in done}
+
+
+def echelon(rows: Iterable[Mapping], key) -> tuple[dict, int]:
+    """Solve the linear forms sum_j row[j] * j = 0, eliminating largest columns first.
+
+    The forward phase (``eliminate_forward``) followed by one upward pass
+    (``back_substitute``).  Returns ``(solved, redundant)``: pivot -> {free
+    column: coefficient} with pivot = sum coefficient * column, in the order
+    the pivots were found, and the number of redundant rows.
+    """
+    forward: dict = {}
+    redundant = eliminate_forward(forward, rows, key)
+    return back_substitute(forward, key), redundant
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,10 @@ def pseudo_group_structure(sys: DeterminingSystem, n: int,
     The determining system is prolonged and solved to order n+1 (d of an
     order-n form involves order-(n+1) generators), lifted, and the
     diffeomorphism equations are reduced modulo the lifted relations.
+    ``stable``, and the warning the text output prints when it is false,
+    concern that working order n+1, not the order n of the returned basis:
+    Janet's example at n = 4, cap 7 has its final order-4 basis while its
+    order-5 relations still change at the cap.
     """
     if n < 0:
         raise InvalidOrderError("order must be >= 0")

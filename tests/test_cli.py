@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -261,3 +262,19 @@ def test_bundled_assumptions_unchanged(capsys, janet_file, source, expected):
     code, out, _ = run(capsys, "structure", source, "--order", "1", "--format", "json")
     assert code == 0
     assert json.loads(out)["assumptions"] == expected
+
+
+@pytest.mark.parametrize("command", ["structure", "lift"])
+def test_cap_below_order_exit_2(capsys, command):
+    code, out, err = run(capsys, command, "@cartan_essential.dsys",
+                         "--order", "1", "--cap", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --cap 0 below --order 1\n"
+
+
+def test_bundled_janet_matches_golden(capsys):
+    code, out, _ = run(capsys, "structure", "@janet.dsys", "--order", "4", "--cap", "7")
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / "structure_janet_o4_cap7.txt"
+    assert out == golden.read_text()

@@ -1,4 +1,8 @@
+from importlib import resources
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcforge.detsys import (
     DeterminingSystem,
@@ -240,3 +244,72 @@ def test_lift_preserves_triangular_shape(essential_system):
     rel = lift(solve_to_order(essential_system, 2))
     for form in rel.solved.values():
         assert not any(h in rel.solved for h in form.terms)
+
+
+# ---------------------------------------------------------------------------
+# Incremental solving equals prolonging and reducing from scratch per order
+# ---------------------------------------------------------------------------
+
+
+def solve_from_scratch(sys, order, cap=None):
+    """The reference loop: prolong and reduce anew at every order up to the cap."""
+    start = max(order, sys.order)
+    cap = max(cap if cap is not None else order + 2, start + 1)
+    prev_shape = None
+    for k in range(start, cap + 1):
+        sol = reduce_system(prolong(sys, k), order=k).restricted(order)
+        shape = sol.shape_key()
+        if shape == prev_shape:
+            sol.stable = True
+            return sol
+        prev_shape = shape
+    sol.stable = False
+    return sol
+
+
+def assert_same_solution(text, order, cap):
+    # each side parses its own system, so each has its own genericity ledger
+    ref_sys, new_sys = parse_system(text), parse_system(text)
+    ref = solve_from_scratch(ref_sys, order, cap)
+    new = solve_to_order(new_sys, order, cap)
+    assert list(new.solved) == list(ref.solved)
+    for p, rhs in ref.solved.items():
+        assert list(new.solved[p].items()) == list(rhs.items())
+    assert new.parametric == ref.parametric
+    assert new.stable == ref.stable
+    assert new.order == ref.order
+    assert [a.expr for a in new.assumptions] == [a.expr for a in ref.assumptions]
+    assert ([a.expr for a in new_sys.table.assumed_nonzero]
+            == [a.expr for a in ref_sys.table.assumed_nonzero])
+    assert new.system.equations == ref.system.equations
+
+
+@pytest.mark.parametrize("name", ["cartan_essential.dsys", "intransitive_translation.dsys",
+                                  "janet.dsys"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_solve_to_order_equals_from_scratch(name, order):
+    text = resources.files("mcforge").joinpath("data", name).read_text()
+    for cap in sorted({None, order + 3, 7}, key=lambda c: -1 if c is None else c):
+        assert_same_solution(text, order, cap)
+
+
+_COEFFS = ["1", "-1", "2", "x", "y", "x + y", "1/x", "y/(x + 1)", "(x - y)/y"]
+_JETS = ["xi", "eta", "xi_x", "xi_y", "eta_x", "eta_y", "xi_xy", "eta_yy"]
+
+
+@st.composite
+def small_linear_systems(draw):
+    """Linear 2-D systems with polynomial or rational coefficients."""
+    lines = ["coords: x, y", "fields: xi, eta"]
+    for _ in range(draw(st.integers(1, 2))):
+        jets = draw(st.lists(st.sampled_from(_JETS), min_size=1, max_size=3, unique=True))
+        terms = [f"({draw(st.sampled_from(_COEFFS))})*{j}" for j in jets]
+        lines.append(f"eq: {' + '.join(terms)} = 0")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=15, deadline=None)
+@given(text=small_linear_systems(), order=st.integers(1, 2),
+       cap_step=st.sampled_from([None, 1]))
+def test_solve_to_order_equals_from_scratch_on_small_systems(text, order, cap_step):
+    assert_same_solution(text, order, None if cap_step is None else order + cap_step)
