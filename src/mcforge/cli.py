@@ -269,6 +269,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         order = getattr(args, "order", None)
+        if order is not None and order < 0:
+            raise McforgeError("order must be >= 0")
         if args.cap is not None and order is not None and args.cap < order:
             raise McforgeError(f"--cap {args.cap} below --order {order}")
         return args.func(args)

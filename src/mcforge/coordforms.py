@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .exterior import _FormBase, _wedge_into
 from .kernel import (
     ExprParser,
     McforgeError,
@@ -16,7 +17,10 @@ from .kernel import (
     ScalarExpr,
     SymbolKind,
     SymbolTable,
+    accumulate,
     echelon,
+    eliminate_forward,
+    split_names,
     tokenize,
 )
 
@@ -25,44 +29,12 @@ class DependentCoframeError(McforgeError):
     """The supplied one-forms are linearly dependent over the function field."""
 
 
-@dataclass
-class CoordOneForm:
+class CoordOneForm(_FormBase):
     """sum coeff * d(symbol); keys are declared symbol names."""
 
-    terms: dict[str, ScalarExpr]
 
-    def __post_init__(self):
-        self.terms = {k: v for k, v in self.terms.items() if not v.is_zero}
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-
-@dataclass
-class CoordTwoForm:
+class CoordTwoForm(_FormBase):
     """sum coeff * d(s) ^ d(t); keys are pairs ordered by symbol declaration."""
-
-    terms: dict[tuple[str, str], ScalarExpr]
-
-    def __post_init__(self):
-        self.terms = {k: v for k, v in self.terms.items() if not v.is_zero}
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms[k] + v if k in terms else v
-        return CoordTwoForm(terms)
-
-    def __sub__(self, other):
-        return self + other.scale(ScalarExpr(-1))
-
-    def scale(self, c):
-        return CoordTwoForm({k: v * c for k, v in self.terms.items()})
 
 
 @dataclass
@@ -80,37 +52,18 @@ class CoframeSession:
 
 def exterior_derivative(omega: CoordOneForm, session: CoframeSession) -> CoordTwoForm:
     """d(f ds) = sum_t (df/dt) dt ^ ds over the declared symbols."""
-    terms: dict[tuple[str, str], ScalarExpr] = {}
-    order = session.symbol_order
+    out: dict = {}
     for s, f in omega.terms.items():
-        for t in session.symbols:
-            df = f.diff(session.table.lookup(t))
-            if df.is_zero or t == s:
-                continue
-            if order(t) < order(s):
-                key, sign = (t, s), 1
-            else:
-                key, sign = (s, t), -1
-            c = df * sign
-            terms[key] = terms[key] + c if key in terms else c
-    return CoordTwoForm(terms)
+        df = CoordOneForm({t: f.diff(session.table.lookup(t)) for t in session.symbols})
+        _wedge_into(out, None, df, s, key=session.symbol_order)
+    return CoordTwoForm(out)
 
 
 def wedge_coord(alpha: CoordOneForm, beta: CoordOneForm,
                 session: CoframeSession) -> CoordTwoForm:
-    terms: dict[tuple[str, str], ScalarExpr] = {}
-    order = session.symbol_order
-    for s, cs in alpha.terms.items():
-        for t, ct in beta.terms.items():
-            if s == t:
-                continue
-            if order(s) < order(t):
-                key, sign = (s, t), 1
-            else:
-                key, sign = (t, s), -1
-            c = cs * ct * sign
-            terms[key] = terms[key] + c if key in terms else c
-    return CoordTwoForm(terms)
+    out: dict = {}
+    _wedge_into(out, None, alpha, beta, key=session.symbol_order)
+    return CoordTwoForm(out)
 
 
 # ---------------------------------------------------------------------------
@@ -121,19 +74,18 @@ def wedge_coord(alpha: CoordOneForm, beta: CoordOneForm,
 _ONE = "1"  # the constant column of an augmented row
 
 
-def _solve_linear(rows: list[dict], rhs: list[ScalarExpr], unknowns: list):
-    """Solve sum_u rows[r][u] * x_u = rhs[r], free unknowns at zero.
+def _solvable(rows: list[dict], rhs: list[ScalarExpr], unknowns: list) -> bool:
+    """Whether sum_u rows[r][u] * x_u = rhs[r] has a solution.
 
     The augmented constant column sorts below every unknown, so it is a pivot
-    only when the system is inconsistent; then the result is None.
+    only when the system is inconsistent.
     """
     rank = {u: -i for i, u in enumerate(unknowns)}
     rank[_ONE] = -len(unknowns)
-    augmented = [{**row, _ONE: -b} if b else row for row, b in zip(rows, rhs)]
-    solved, _ = echelon(augmented, rank.__getitem__)
-    if _ONE in solved:
-        return None
-    return {u: solved.get(u, {}).get(_ONE, ScalarExpr(0)) for u in unknowns}
+    forward: dict = {}
+    eliminate_forward(forward, ({**row, _ONE: -b} if b else row for row, b in zip(rows, rhs)),
+                      rank.__getitem__)
+    return _ONE not in forward
 
 
 def coframe_rank_ok(session: CoframeSession) -> bool:
@@ -147,7 +99,6 @@ def coframe_rank_ok(session: CoframeSession) -> bool:
 class CoframeReport:
     verified: bool
     residues: dict[str, CoordTwoForm] = field(default_factory=dict)
-    expressed: dict[str, list[tuple[ScalarExpr, str, str]]] = field(default_factory=dict)
     unexpressible: list[str] = field(default_factory=list)
 
     @property
@@ -158,8 +109,8 @@ class CoframeReport:
 def verify_structure_equations(session: CoframeSession) -> CoframeReport:
     """Check each claimed d(form) against the computed exterior derivative.
 
-    Each d(form) is also expressed in the wedge basis of the coframe by
-    solving a linear system; failure to express is reported separately.
+    Each d(form) is also checked to be expressible in the wedge basis of the
+    coframe by solving a linear system; failure is reported separately.
     """
     if not coframe_rank_ok(session):
         raise DependentCoframeError("coframe forms are linearly dependent")
@@ -180,27 +131,17 @@ def verify_structure_equations(session: CoframeSession) -> CoframeReport:
     for name in names:
         d_omega = exterior_derivative(session.forms[name], session)
         rhs = [d_omega.terms.get(key, ScalarExpr(0)) for key in keys]
-        solution = _solve_linear(rows, rhs, pair_names)
-        if solution is None:
+        if not _solvable(rows, rhs, pair_names):
             report.unexpressible.append(name)
             report.verified = False
-        else:
-            report.expressed[name] = [(c, a, b) for (a, b), c in solution.items()
-                                      if not c.is_zero]
-        claimed = session.claims.get(name, [])
-        claim_total = CoordTwoForm({})
-        for c, a, b in claimed:
-            claim_total = claim_total + wedges[_pair_key(a, b, names)].scale(
-                c if names.index(a) < names.index(b) else -c)
-        residue = d_omega - claim_total
-        report.residues[name] = residue
-        if not residue.is_zero:
+        residue = dict(d_omega.terms)
+        for c, a, b in session.claims.get(name, []):
+            _wedge_into(residue, -c, session.forms[a], session.forms[b],
+                        key=session.symbol_order)
+        report.residues[name] = CoordTwoForm(residue)
+        if residue:
             report.verified = False
     return report
-
-
-def _pair_key(a: str, b: str, names: list[str]):
-    return (a, b) if names.index(a) < names.index(b) else (b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +186,11 @@ class _ClaimSemantics:
         return ScalarExpr(0, self.table)
 
     def add(self, a, b, token):
-        one = dict(a.one)
+        one, two = dict(a.one), dict(a.two)
         for k, v in b.one.items():
-            one[k] = one[k] + v if k in one else v
-        two = dict(a.two)
+            accumulate(one, k, v)
         for k, v in b.two.items():
-            two[k] = two[k] + v if k in two else v
+            accumulate(two, k, v)
         sa = a.scalar if a.scalar is not None else self._zero_scalar()
         sb = b.scalar if b.scalar is not None else self._zero_scalar()
         return _ClaimVal(scalar=sa + sb, one=one, two=two)
@@ -346,7 +286,9 @@ def parse_coframe(text: str) -> CoframeSession:
         if not line:
             continue
         if line.startswith("symbols:"):
-            for name in _split_names(line, lineno):
+            for name in split_names(line, lineno):
+                if name in symbols:
+                    raise ParseError(f"symbol {name!r} declared twice", lineno, 1)
                 table.declare(name, SymbolKind.SOURCE)
                 symbols.append(name)
         elif line.startswith("form "):
@@ -354,6 +296,8 @@ def parse_coframe(text: str) -> CoframeSession:
             if "=" not in body:
                 raise ParseError("expected 'form <name> = <expr>'", lineno, 1)
             name, rhs = (part.strip() for part in body.split("=", 1))
+            if name in forms or name in symbols:
+                raise ParseError(f"form name {name!r} already in use", lineno, 1)
             sem = _FormSemantics(table, symbols)
             value = ExprParser(tokenize(rhs, lineno), sem).parse()
             if value.degree != 1 or (value.scalar is not None and not value.scalar.is_zero):
@@ -364,6 +308,8 @@ def parse_coframe(text: str) -> CoframeSession:
             name = lhs[1:]
             if name not in forms:
                 raise ParseError(f"claim for undefined form {name!r}", lineno, 1)
+            if name in claims:
+                raise ParseError(f"second claim for d{name}", lineno, 1)
             sem = _ClaimSemantics(table, list(forms))
             value = ExprParser(tokenize(rhs, lineno), sem).parse()
             if value.one or (value.scalar is not None and not value.scalar.is_zero):
@@ -378,10 +324,3 @@ def parse_coframe(text: str) -> CoframeSession:
         raise ParseError("no coframe forms defined")
     return CoframeSession(table, symbols, forms, claims)
 
-
-def _split_names(line: str, lineno: int) -> list[str]:
-    _, _, rhs = line.partition(":")
-    names = [n.strip() for n in rhs.split(",") if n.strip()]
-    if not names:
-        raise ParseError("empty declaration", lineno, 1)
-    return names

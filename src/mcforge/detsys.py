@@ -25,9 +25,11 @@ from .kernel import (
     Symbol,
     SymbolKind,
     SymbolTable,
+    accumulate,
     back_substitute,
     echelon,
     eliminate_forward,
+    split_names,
     tokenize,
 )
 from .multiindex import MultiIndex, all_indices
@@ -152,7 +154,7 @@ class _LinearSemantics:
     def add(self, a, b, token):
         jets = dict(a.jets)
         for k, v in b.jets.items():
-            jets[k] = jets[k] + v if k in jets else v
+            accumulate(jets, k, v)
         return _LinVal(a.scalar + b.scalar, jets)
 
     def sub(self, a, b, token):
@@ -207,36 +209,27 @@ def _parse_coord_suffix(suffix: str, coords: list[str]):
     return entries
 
 
-def _split_header(line: str, lineno: int) -> list[str]:
-    _, _, rhs = line.partition(":")
-    names = [n.strip() for n in rhs.split(",") if n.strip()]
-    if not names:
-        raise ParseError("empty declaration", lineno, 1)
-    return names
-
-
 def parse_system(text: str) -> DeterminingSystem:
     """Parse the determining-system DSL into a DeterminingSystem."""
-    coords: list[str] = []
-    targets: list[str] = []
-    fields: list[str] = []
+    headers: dict[str, list[str]] = {"coords": [], "targets": [], "fields": []}
+    header_lines: dict[str, int] = {}
     raw_equations: list[tuple[str, int]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("coords:"):
-            coords = _split_header(line, lineno)
-        elif line.startswith("targets:"):
-            targets = _split_header(line, lineno)
-        elif line.startswith("fields:"):
-            fields = _split_header(line, lineno)
+        head, colon, _ = line.partition(":")
+        if colon and head in headers:
+            if head in header_lines:
+                raise ParseError(f"second '{head}:' line", lineno, 1)
+            headers[head], header_lines[head] = split_names(line, lineno), lineno
         elif line.startswith("eq:"):
             raw_equations.append((line[3:].strip(), lineno))
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno, 1)
 
+    coords, targets, fields = headers["coords"], headers["targets"], headers["fields"]
     if not coords:
         raise ParseError("missing 'coords:' declaration")
     if not fields:
@@ -249,6 +242,13 @@ def parse_system(text: str) -> DeterminingSystem:
             raise ParseError("cannot auto-name targets; add an explicit 'targets:' line")
     if len(targets) != len(coords):
         raise ParseError("targets must match coords positionally")
+    declared: dict[str, str] = {}
+    for head, names in (("coords", coords), ("targets", targets), ("fields", fields)):
+        for name in names:
+            if name in declared:
+                raise ParseError(f"{head} name {name!r} already declared in "
+                                 f"'{declared[name]}:'", header_lines.get(head), 1)
+            declared[name] = head
 
     table = SymbolTable()
     for c in coords:
@@ -285,16 +285,10 @@ def total_derivative(eq: LinearPdeEquation, a: int,
     """D_{z^a} of a linear equation: differentiate coefficients, shift jets."""
     z_a = sys.source_symbol(a)
     terms: dict[McGenerator, ScalarExpr] = {}
-
-    def bump(js, c):
-        if c.is_zero:
-            return
-        terms[js] = terms[js] + c if js in terms else c
-
     for js, c in eq.terms.items():
-        bump(js, c.diff(z_a))
-        bump(McGenerator(js.component, js.index.append(a)), c)
-    return LinearPdeEquation({k: v for k, v in terms.items() if not v.is_zero})
+        accumulate(terms, js, c.diff(z_a))
+        accumulate(terms, McGenerator(js.component, js.index.append(a)), c)
+    return LinearPdeEquation(terms)
 
 
 class _Closure:

@@ -7,10 +7,11 @@ on strictly ordered generator tuples; the evaluation convention is
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .kernel import McforgeError, ScalarExpr
+from .kernel import McforgeError, ScalarExpr, accumulate
 from .multiindex import MultiIndex
 
 
@@ -43,32 +44,30 @@ class McGenerator:
         return f"mu[{self.component}]{self.index.entries}"
 
 
-def _clean(terms: dict) -> dict:
-    return {k: v for k, v in terms.items() if not v.is_zero}
-
-
 class _FormBase:
+    """A finitely supported linear combination of wedge monomials.
+
+    ``terms`` maps a key (a bare generator for a one-form, a sorted generator
+    tuple above degree one) to its nonzero coefficient.
+    """
+
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = _clean(dict(terms or {}))
+        self.terms = {k: v for k, v in (terms or {}).items() if not v.is_zero}
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _combined(self, other, sign):
+    def __add__(self, other):
         terms = dict(self.terms)
         for k, v in other.terms.items():
-            cur = terms.get(k)
-            terms[k] = v * sign if cur is None else cur + v * sign
+            accumulate(terms, k, v)
         return type(self)(terms)
 
-    def __add__(self, other):
-        return self._combined(other, 1)
-
     def __sub__(self, other):
-        return self._combined(other, -1)
+        return self + -other
 
     def __neg__(self):
         return type(self)({k: -v for k, v in self.terms.items()})
@@ -113,51 +112,59 @@ class ThreeForm(_FormBase):
     """Degree-3 element; keys are strictly increasing generator triples."""
 
 
-def _ordered_pair(g, h):
-    if g == h:
-        return None, 0
-    return ((g, h), 1) if g < h else ((h, g), -1)
+def _sort_with_sign(gens: tuple, key=McGenerator.sort_key):
+    """Sort ``gens`` by ``key``: (sorted tuple, sign of the permutation), or None on a repeat."""
+    gens, ranks = list(gens), [key(g) for g in gens]
+    sign = 1
+    for i in range(1, len(gens)):
+        j = i  # insertion sort, one sign flip per transposition
+        while j and ranks[j] < ranks[j - 1]:
+            ranks[j - 1], ranks[j] = ranks[j], ranks[j - 1]
+            gens[j - 1], gens[j] = gens[j], gens[j - 1]
+            sign, j = -sign, j - 1
+        if j and ranks[j] == ranks[j - 1]:
+            return None
+    return tuple(gens), sign
+
+
+def _gens(key) -> tuple:
+    # a one-form's key is a bare generator
+    return key if type(key) is tuple else (key,)
+
+
+def _wedge_into(out: dict, c, *factors, key=McGenerator.sort_key) -> None:
+    """out += c * (factors[0] ^ factors[1] ^ ...) in place.
+
+    A factor is a form or a bare generator, which stands for itself with
+    coefficient 1; ``c`` is a scalar or None for 1.  ``out`` is keyed like the
+    product's terms: a bare generator in degree one, else a tuple sorted by
+    ``key``.
+    """
+    expanded = [f.terms.items() if isinstance(f, _FormBase) else ((f, None),)
+                for f in factors]
+    for items in itertools.product(*expanded):
+        ordered = _sort_with_sign(sum((_gens(k) for k, _ in items), ()), key)
+        if ordered is None:
+            continue
+        gens, sign = ordered
+        coeff = c
+        for _, v in items:
+            if v is not None:
+                coeff = v if coeff is None else coeff * v
+        accumulate(out, gens if len(gens) > 1 else gens[0], coeff if sign > 0 else -coeff)
 
 
 def wedge(alpha: OneForm, beta: OneForm) -> TwoForm:
     """Bilinear antisymmetric product of two one-forms."""
-    terms: dict = {}
-    for g, cg in alpha.terms.items():
-        for h, ch in beta.terms.items():
-            key, sign = _ordered_pair(g, h)
-            if key is None:
-                continue
-            c = cg * ch * sign
-            cur = terms.get(key)
-            terms[key] = c if cur is None else cur + c
-    return TwoForm(terms)
-
-
-def _ordered_triple(g, h, k):
-    gens = [g, h, k]
-    if len({gens[0], gens[1], gens[2]}) < 3:
-        return None, 0
-    sign = 1
-    # 3-element sort: count swaps
-    for i in range(2):
-        for j in range(2 - i):
-            if gens[j + 1] < gens[j]:
-                gens[j], gens[j + 1] = gens[j + 1], gens[j]
-                sign = -sign
-    return tuple(gens), sign
+    out: dict = {}
+    _wedge_into(out, None, alpha, beta)
+    return TwoForm(out)
 
 
 def wedge_two_one(omega: TwoForm, alpha: OneForm) -> ThreeForm:
-    terms: dict = {}
-    for (g, h), c2 in omega.terms.items():
-        for k, c1 in alpha.terms.items():
-            key, sign = _ordered_triple(g, h, k)
-            if key is None:
-                continue
-            c = c2 * c1 * sign
-            cur = terms.get(key)
-            terms[key] = c if cur is None else cur + c
-    return ThreeForm(terms)
+    out: dict = {}
+    _wedge_into(out, None, omega, alpha)
+    return ThreeForm(out)
 
 
 def wedge_one_two(alpha: OneForm, omega: TwoForm) -> ThreeForm:
@@ -165,55 +172,38 @@ def wedge_one_two(alpha: OneForm, omega: TwoForm) -> ThreeForm:
 
 
 def _solved_map(rel) -> Mapping[McGenerator, OneForm]:
+    """The relations' dependent generator -> OneForm map, checked to be solved."""
     solved = getattr(rel, "solved", rel)
     if not isinstance(solved, Mapping):
         raise NotSolvedFormError("relations must provide a generator -> OneForm mapping")
-    return solved
-
-
-def _check_solved(solved: Mapping[McGenerator, OneForm]) -> None:
     for g, rhs in solved.items():
         for h in rhs.terms:
             if h in solved:
                 raise NotSolvedFormError(
                     f"dependent generator {h} appears on the right-hand side of {g}"
                 )
+    return solved
+
+
+def _reduce(form, rel):
+    # substitute every dependent generator of each monomial, then re-wedge
+    solved = _solved_map(rel)
+    out: dict = {}
+    for k, c in form.terms.items():
+        _wedge_into(out, c, *(solved.get(g, g) for g in _gens(k)))
+    return type(form)(out)
 
 
 def reduce_one(alpha: OneForm, rel) -> OneForm:
-    solved = _solved_map(rel)
-    _check_solved(solved)
-    out = OneForm()
-    for g, c in alpha.terms.items():
-        rhs = solved.get(g)
-        if rhs is None:
-            out = out + OneForm({g: c})
-        else:
-            out = out + rhs.scale(c)
-    return out
+    return _reduce(alpha, rel)
 
 
 def reduce_two(omega: TwoForm, rel) -> TwoForm:
-    solved = _solved_map(rel)
-    _check_solved(solved)
-    out = TwoForm()
-    for (g, h), c in omega.terms.items():
-        lhs = solved.get(g, OneForm.generator(g))
-        rhs = solved.get(h, OneForm.generator(h))
-        out = out + wedge(lhs, rhs).scale(c)
-    return out
+    return _reduce(omega, rel)
 
 
 def reduce_three(omega: ThreeForm, rel) -> ThreeForm:
-    solved = _solved_map(rel)
-    _check_solved(solved)
-    out = ThreeForm()
-    for (g, h, k), c in omega.terms.items():
-        a = solved.get(g, OneForm.generator(g))
-        b = solved.get(h, OneForm.generator(h))
-        d = solved.get(k, OneForm.generator(k))
-        out = out + wedge_two_one(wedge(a, b), d).scale(c)
-    return out
+    return _reduce(omega, rel)
 
 
 def reduce_form(form, rel):
@@ -227,26 +217,26 @@ def reduce_form(form, rel):
     raise TypeError(f"cannot reduce {type(form).__name__}")
 
 
+def _rule(rules: Mapping[McGenerator, TwoForm], g: McGenerator) -> TwoForm:
+    dg = rules.get(g)
+    if dg is None:
+        raise MissingRuleError(f"no structure equation for generator {g}")
+    return dg
+
+
 def d_apply(alpha: OneForm, rules: Mapping[McGenerator, TwoForm], rel) -> TwoForm:
     """d of a one-form on the target fiber (dZ = 0, so coefficients are closed)."""
-    out = TwoForm()
+    out: dict = {}
     for g, c in alpha.terms.items():
-        dg = rules.get(g)
-        if dg is None:
-            raise MissingRuleError(f"no structure equation for generator {g}")
-        out = out + dg.scale(c)
-    return reduce_two(out, rel)
+        _wedge_into(out, c, _rule(rules, g))
+    return reduce_two(TwoForm(out), rel)
 
 
 def d_apply_two(omega: TwoForm, rules: Mapping[McGenerator, TwoForm], rel) -> ThreeForm:
     """Graded Leibniz rule: d(f g^h) = f (dg^h - g^dh) on the target fiber."""
-    out = ThreeForm()
+    out: dict = {}
     for (g, h), c in omega.terms.items():
-        dg = rules.get(g)
-        dh = rules.get(h)
-        if dg is None or dh is None:
-            missing = g if dg is None else h
-            raise MissingRuleError(f"no structure equation for generator {missing}")
-        out = out + wedge_two_one(dg, OneForm.generator(h)).scale(c)
-        out = out - wedge_one_two(OneForm.generator(g), dh).scale(c)
-    return reduce_three(out, rel)
+        dg, dh = _rule(rules, g), _rule(rules, h)
+        _wedge_into(out, c, dg, h)
+        _wedge_into(out, -c, g, dh)
+    return reduce_three(ThreeForm(out), rel)

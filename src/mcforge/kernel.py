@@ -109,15 +109,6 @@ class SymbolTable:
     def get(self, name: str):
         return self._symbols.get(name)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._symbols
-
-    def __len__(self) -> int:
-        return len(self._symbols)
-
-    def symbols(self) -> list[Symbol]:
-        return list(self._symbols.values())
-
     def expr(self, symbol: Symbol | str) -> "ScalarExpr":
         if isinstance(symbol, str):
             symbol = self.lookup(symbol)
@@ -298,15 +289,23 @@ class ScalarExpr:
 # ---------------------------------------------------------------------------
 
 
+def accumulate(terms: dict, key, c: ScalarExpr) -> None:
+    """terms[key] += c in place; a zero c adds nothing and a sum that cancels is dropped."""
+    if c.is_zero:
+        return
+    cur = terms.get(key)
+    if cur is not None:
+        c = cur + c
+        if c.is_zero:
+            del terms[key]
+            return
+    terms[key] = c
+
+
 def _add_multiple(row: dict, other: dict, c: ScalarExpr) -> None:
     """row += c * other in place, dropping entries that cancel."""
     for j, v in other.items():
-        cur = row.get(j)
-        nv = c * v if cur is None else cur + c * v
-        if nv.is_zero:
-            row.pop(j, None)
-        else:
-            row[j] = nv
+        accumulate(row, j, c * v)
 
 
 def eliminate_forward(forward: dict, rows: Iterable[Mapping], key) -> int:
@@ -401,6 +400,17 @@ def tokenize(text: str, line_offset: int = 1) -> list[Token]:
                 raise ParseError(f"unexpected character {tok!r}", lineno, col)
     tokens.append(Token("end", "", line_offset, len(text) + 1))
     return tokens
+
+
+def split_names(line: str, lineno: int) -> list[str]:
+    """The comma-separated names after a declaration's ':', none empty or repeated."""
+    names = [n.strip() for n in line.partition(":")[2].split(",") if n.strip()]
+    if not names:
+        raise ParseError("empty declaration", lineno, 1)
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ParseError(f"name {name!r} declared twice", lineno, 1)
+    return names
 
 
 class ExprParser:

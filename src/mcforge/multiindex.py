@@ -30,9 +30,6 @@ class MultiIndex:
             out[e] = out.get(e, 0) + 1
         return out
 
-    def count(self, a: int) -> int:
-        return self.entries.count(a)
-
     def union(self, other: "MultiIndex") -> "MultiIndex":
         return MultiIndex(self.entries + other.entries)
 

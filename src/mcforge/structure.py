@@ -15,6 +15,7 @@ from .exterior import (
     McGenerator,
     ThreeForm,
     TwoForm,
+    _wedge_into,
     d_apply_two,
     reduce_two,
 )
@@ -30,15 +31,9 @@ def diffeo_structure_equation(a: int, C: MultiIndex, m: int) -> TwoForm:
     """d mu^a_C for the full diffeomorphism pseudo-group, no relations applied."""
     terms: dict = {}
     for A, B in sub_multisets(C):
-        weight = multinomial(C, A)
+        weight = ScalarExpr(multinomial(C, A))
         for b in range(m):
-            lhs = McGenerator(a, A.append(b))
-            rhs = McGenerator(b, B)
-            if lhs == rhs:
-                continue
-            key, sign = ((lhs, rhs), 1) if lhs < rhs else ((rhs, lhs), -1)
-            c = ScalarExpr(weight * sign)
-            terms[key] = terms[key] + c if key in terms else c
+            _wedge_into(terms, weight, McGenerator(a, A.append(b)), McGenerator(b, B))
     return TwoForm(terms)
 
 
@@ -55,14 +50,6 @@ class StructureEquationSet:
     assumptions: list[ScalarExpr]
     coefficient_dependence: dict[McGenerator, list[str]] = field(default_factory=dict)
     stable: bool = True
-
-    def rhs_generators(self) -> list[McGenerator]:
-        gens = set()
-        for two in self.equations.values():
-            for g, h in two.terms:
-                gens.add(g)
-                gens.add(h)
-        return sorted(gens, key=McGenerator.sort_key)
 
 
 def pseudo_group_structure(sys: DeterminingSystem, n: int,

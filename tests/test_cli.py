@@ -5,6 +5,8 @@ import pytest
 
 from mcforge.cli import main
 
+from conftest import bundled
+
 
 def run(capsys, *args):
     code = main(list(args))
@@ -278,3 +280,71 @@ def test_bundled_janet_matches_golden(capsys):
     assert code == 0
     golden = Path(__file__).parent / "golden" / "structure_janet_o4_cap7.txt"
     assert out == golden.read_text()
+
+
+# ---------------------------------------------------------------------------
+# Input contract: negative orders and duplicate or clashing names exit 2
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("structure", ["@cartan_essential.dsys"]),
+    ("diffeo", ["--dim", "1"]),
+    ("lift", ["@cartan_essential.dsys"]),
+    ("prolong", ["@cartan_essential.dsys"]),
+    ("check-d2", ["@cartan_essential.dsys"]),
+    ("check-duality", ["@cartan_essential.dsys"]),
+    ("bracket", ["@cartan_essential.dsys"]),
+])
+def test_negative_order_exit_2_on_every_command(capsys, command, extra):
+    code, out, err = run(capsys, command, *extra, "--order", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: order must be >= 0\n"
+
+
+def _dsys_lines(coords="x, y", targets=None, fields="xi, eta", extra=()):
+    lines = [f"coords: {coords}"]
+    if targets is not None:
+        lines.append(f"targets: {targets}")
+    lines.append(f"fields: {fields}")
+    return "\n".join(lines + list(extra)) + "\n"
+
+
+@pytest.mark.parametrize("text, line", [
+    (_dsys_lines(coords="x, x"), 1),
+    (_dsys_lines(targets="X, X"), 2),
+    (_dsys_lines(fields="xi, xi"), 2),
+    (_dsys_lines(fields="x, eta"), 2),              # field named like a coordinate
+    (_dsys_lines(fields="xi, Y"), 2),               # ... like an automatic target
+    (_dsys_lines(targets="U, V", fields="xi, V"), 3),  # ... like a declared target
+    (_dsys_lines(targets="y, X"), 2),               # target named like a coordinate
+    (_dsys_lines(extra=["coords: u, v"]), 3),       # a second header line
+])
+@pytest.mark.parametrize("command", ["structure", "check-d2"])
+def test_duplicate_or_clashing_dsys_names_exit_2(tmp_path, capsys, command, text, line):
+    path = tmp_path / "dup.dsys"
+    path.write_text(text)
+    code, out, err = run(capsys, command, str(path), "--order", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and f"(line {line}, column 1)" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("symbols: x, y", "symbols: x, y, y", 3),
+    ("symbols: x, y", "symbols: x, y\nsymbols: y", 4),
+    ("form w2 = dy - (y/x)*dx", "form w2 = dy - (y/x)*dx\nform w1 = dy", 6),
+    ("form w2 = dy - (y/x)*dx", "form w2 = dy - (y/x)*dx\nform x = dy", 6),
+    ("dw1 = 0", "dw1 = 0\ndw1 = w1^w2", 7),
+])
+def test_duplicate_coframe_names_exit_2(tmp_path, capsys, old, new, line):
+    text = bundled("cartan_example2.coframe")
+    assert old in text
+    path = tmp_path / "dup.coframe"
+    path.write_text(text.replace(old, new))
+    code, out, err = run(capsys, "verify-coframe", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and f"(line {line}, column 1)" in err

@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, strategies as st
 
 from mcforge.exterior import (
     McGenerator,
@@ -7,6 +10,7 @@ from mcforge.exterior import (
     OneForm,
     ThreeForm,
     TwoForm,
+    _sort_with_sign,
     d_apply,
     reduce_form,
     reduce_one,
@@ -126,3 +130,23 @@ def test_reduce_two_with_variable_coefficients():
     w = TwoForm({(g(1, 1), g(2, 2)): ScalarExpr(1, table)})
     # mu^y_Y ^ (X mu^y_Y) = 0
     assert reduce_two(w, rel).is_zero
+
+
+GENS = [g(0), g(1), g(0, 0), g(0, 1), g(1, 0), g(1, 1)]
+
+
+@given(st.lists(st.sampled_from(GENS), min_size=1, max_size=4))
+def test_sort_with_sign_is_permutation_parity(gens):
+    result = _sort_with_sign(tuple(gens))
+    if len(set(gens)) < len(gens):
+        assert result is None
+    else:
+        inversions = sum(b < a for a, b in itertools.combinations(gens, 2))
+        assert result == (tuple(sorted(gens)), (-1) ** inversions)
+
+
+def test_sort_with_sign_custom_key():
+    order = ["y", "x", "z"].index
+    assert _sort_with_sign(("x", "y", "z"), key=order) == (("y", "x", "z"), -1)
+    assert _sort_with_sign(("x", "z", "y"), key=order) == (("y", "x", "z"), 1)
+    assert _sort_with_sign(("x", "z", "x"), key=order) is None
