@@ -11,17 +11,16 @@ from dataclasses import dataclass, field
 
 from .exterior import _FormBase, _wedge_into
 from .kernel import (
+    SCALAR,
     ExprParser,
     McforgeError,
     ParseError,
     ScalarExpr,
     SymbolKind,
     SymbolTable,
-    accumulate,
     echelon,
     eliminate_forward,
     split_names,
-    tokenize,
 )
 
 
@@ -101,10 +100,6 @@ class CoframeReport:
     residues: dict[str, CoordTwoForm] = field(default_factory=dict)
     unexpressible: list[str] = field(default_factory=list)
 
-    @property
-    def ok(self):
-        return self.verified
-
 
 def verify_structure_equations(session: CoframeSession) -> CoframeReport:
     """Check each claimed d(form) against the computed exterior derivative.
@@ -149,129 +144,43 @@ def verify_structure_equations(session: CoframeSession) -> CoframeReport:
 # ---------------------------------------------------------------------------
 
 
-class _ClaimVal:
-    """Scalar, one-form (by coframe name), or two-form (name pairs) value."""
+class _FormParser(ExprParser):
+    """`form` lines: symbols are scalars, and d<symbol> is the basis key <symbol>."""
 
-    def __init__(self, scalar=None, one=None, two=None):
-        self.scalar = scalar
-        self.one = {k: v for k, v in (one or {}).items() if not v.is_zero}
-        self.two = {k: v for k, v in (two or {}).items() if not v.is_zero}
+    def name(self, tok):
+        text = tok.text
+        if self.table.get(text) is None and text.startswith("d") \
+                and self.table.get(text[1:]) is not None:
+            return {text[1:]: ScalarExpr(1, self.table)}
+        return super().name(tok)
 
-    @property
-    def degree(self):
-        if self.two:
-            return 2
-        if self.one:
-            return 1
-        return 0
+    def nonscalar(self, op):
+        return ParseError("use '^' to wedge forms" if op.text == "*"
+                          else "cannot divide by a form", op.line, op.col)
 
-
-class _ClaimSemantics:
-    def __init__(self, table, form_names):
-        self.table = table
-        self.form_names = form_names
-
-    def integer(self, n):
-        return _ClaimVal(scalar=ScalarExpr(n, self.table))
-
-    def name(self, text, token):
-        if text in self.form_names:
-            return _ClaimVal(one={text: ScalarExpr(1, self.table)})
-        entry = self.table.get(text)
-        if entry is None:
-            raise ParseError(f"unknown symbol {text!r}", token.line, token.col)
-        return _ClaimVal(scalar=self.table.expr(entry))
-
-    def _zero_scalar(self):
-        return ScalarExpr(0, self.table)
-
-    def add(self, a, b, token):
-        one, two = dict(a.one), dict(a.two)
-        for k, v in b.one.items():
-            accumulate(one, k, v)
-        for k, v in b.two.items():
-            accumulate(two, k, v)
-        sa = a.scalar if a.scalar is not None else self._zero_scalar()
-        sb = b.scalar if b.scalar is not None else self._zero_scalar()
-        return _ClaimVal(scalar=sa + sb, one=one, two=two)
-
-    def sub(self, a, b, token):
-        return self.add(a, self.neg(b), token)
-
-    def neg(self, a):
-        return _ClaimVal(
-            scalar=None if a.scalar is None else -a.scalar,
-            one={k: -v for k, v in a.one.items()},
-            two={k: -v for k, v in a.two.items()})
-
-    def mul(self, a, b, token):
-        if a.degree and b.degree:
-            raise ParseError("use '^' to wedge forms", token.line, token.col)
-        if b.degree:
-            a, b = b, a
-        s = b.scalar if b.scalar is not None else self._zero_scalar()
-        return _ClaimVal(
-            scalar=None if a.scalar is None else a.scalar * s,
-            one={k: v * s for k, v in a.one.items()},
-            two={k: v * s for k, v in a.two.items()})
-
-    def div(self, a, b, token):
-        if b.degree:
-            raise ParseError("cannot divide by a form", token.line, token.col)
-        if b.scalar is None or b.scalar.is_zero:
-            raise ParseError("division by zero", token.line, token.col)
-        return _ClaimVal(
-            scalar=None if a.scalar is None else a.scalar / b.scalar,
-            one={k: v / b.scalar for k, v in a.one.items()},
-            two={k: v / b.scalar for k, v in a.two.items()})
-
-    def power(self, a, b, token):
-        if a.degree == 1 and b.degree == 1:
-            # wedge of two coframe names
-            two = {}
-            for ka, va in a.one.items():
-                for kb, vb in b.one.items():
-                    if ka == kb:
-                        continue
-                    two[(ka, kb)] = va * vb
-            return _ClaimVal(two=two)
-        if a.degree == 0 and b.degree == 0 and b.scalar is not None \
-                and b.scalar.expr.is_Integer:
-            return _ClaimVal(scalar=a.scalar ** int(b.scalar.expr))
-        raise ParseError("'^' needs two form names or an integer exponent",
-                         token.line, token.col)
+    def power(self, base, exponent, op):
+        raise ParseError("forms cannot be wedged inside a 'form' line", op.line, op.col)
 
 
-class _FormSemantics:
-    """Expression semantics where d<sym> atoms build coordinate one-forms."""
+class _ClaimParser(_FormParser):
+    """`d` claims: symbols are scalars, form names and form-name pairs the basis keys."""
 
-    def __init__(self, table, symbols):
-        self.table = table
-        self.symbols = symbols
+    def __init__(self, table, forms):
+        super().__init__(table)
+        self.forms = forms
 
-    def integer(self, n):
-        return _ClaimVal(scalar=ScalarExpr(n, self.table))
+    def name(self, tok):
+        if tok.text in self.forms:
+            return {tok.text: ScalarExpr(1, self.table)}
+        return ExprParser.name(self, tok)  # d<symbol> is not a claim term
 
-    def name(self, text, token):
-        if text in self.symbols:
-            return _ClaimVal(scalar=self.table.expr(text))
-        if text.startswith("d") and text[1:] in self.symbols:
-            return _ClaimVal(one={text[1:]: ScalarExpr(1, self.table)})
-        raise ParseError(f"unknown symbol {text!r}", token.line, token.col)
-
-    add = _ClaimSemantics.add
-    sub = _ClaimSemantics.sub
-    neg = _ClaimSemantics.neg
-    mul = _ClaimSemantics.mul
-    div = _ClaimSemantics.div
-    _zero_scalar = _ClaimSemantics._zero_scalar
-
-    def power(self, a, b, token):
-        if a.degree == 0 and b.degree == 0 and b.scalar is not None \
-                and b.scalar.expr.is_Integer:
-            return _ClaimVal(scalar=a.scalar ** int(b.scalar.expr))
-        raise ParseError("forms cannot be wedged inside a 'form' line",
-                         token.line, token.col)
+    def power(self, base, exponent, op):
+        # wedge two one-forms: their keys are form names, never tuples
+        if any(isinstance(k, tuple) for k in (*base, *exponent)):
+            raise ParseError("'^' needs two one-forms or an integer exponent",
+                             op.line, op.col)
+        return {(a, b): u * v for a, u in base.items()
+                for b, v in exponent.items() if a != b}
 
 
 def parse_coframe(text: str) -> CoframeSession:
@@ -298,11 +207,10 @@ def parse_coframe(text: str) -> CoframeSession:
             name, rhs = (part.strip() for part in body.split("=", 1))
             if name in forms or name in symbols:
                 raise ParseError(f"form name {name!r} already in use", lineno, 1)
-            sem = _FormSemantics(table, symbols)
-            value = ExprParser(tokenize(rhs, lineno), sem).parse()
-            if value.degree != 1 or (value.scalar is not None and not value.scalar.is_zero):
+            value = _FormParser(table).parse(rhs, lineno)
+            if not value or SCALAR in value:
                 raise ParseError("a form line must define a one-form", lineno, 1)
-            forms[name] = CoordOneForm(dict(value.one))
+            forms[name] = CoordOneForm(value)
         elif line.startswith("d") and "=" in line:
             lhs, rhs = (part.strip() for part in line.split("=", 1))
             name = lhs[1:]
@@ -310,11 +218,10 @@ def parse_coframe(text: str) -> CoframeSession:
                 raise ParseError(f"claim for undefined form {name!r}", lineno, 1)
             if name in claims:
                 raise ParseError(f"second claim for d{name}", lineno, 1)
-            sem = _ClaimSemantics(table, list(forms))
-            value = ExprParser(tokenize(rhs, lineno), sem).parse()
-            if value.one or (value.scalar is not None and not value.scalar.is_zero):
+            value = _ClaimParser(table, forms).parse(rhs, lineno)
+            if not all(isinstance(k, tuple) and len(k) == 2 for k in value):
                 raise ParseError("a claim must be a two-form (or 0)", lineno, 1)
-            claims[name] = [(c, a, b) for (a, b), c in value.two.items()]
+            claims[name] = [(c, a, b) for (a, b), c in value.items()]
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno, 1)
 

@@ -17,6 +17,7 @@ import sympy as sp
 
 from .exterior import McGenerator, OneForm
 from .kernel import (
+    SCALAR,
     ExprParser,
     InvalidOrderError,
     McforgeError,
@@ -29,8 +30,9 @@ from .kernel import (
     back_substitute,
     echelon,
     eliminate_forward,
+    graded_add,
+    graded_neg,
     split_names,
-    tokenize,
 )
 from .multiindex import MultiIndex, all_indices
 
@@ -101,42 +103,29 @@ class DeterminingSystem:
 # ---------------------------------------------------------------------------
 
 
-class _LinVal:
-    """Scalar part plus jet-linear part, for linearity-checked parsing."""
+class _EquationParser(ExprParser):
+    """Sides of a `.dsys` equation: coordinates are scalars and jets the basis keys."""
 
-    __slots__ = ("scalar", "jets")
-
-    def __init__(self, scalar: ScalarExpr, jets=None):
-        self.jets = {k: v for k, v in (jets or {}).items() if not v.is_zero}
-        self.scalar = scalar
-
-
-class _LinearSemantics:
     def __init__(self, table, coords, fields):
-        self.table = table
+        super().__init__(table)
         self.coords = coords
         self.fields = fields
 
-    def _zero(self):
-        return ScalarExpr(0, self.table)
-
-    def integer(self, n):
-        return _LinVal(ScalarExpr(n, self.table))
-
-    def name(self, text, token):
+    def name(self, tok):
+        text = tok.text
         if text in self.coords:
-            return _LinVal(self.table.expr(text))
-        js = self._jet_symbol(text, token)
+            return {SCALAR: self.table.expr(text)}
+        js = self._jet_symbol(text, tok)
         if js is not None:
-            return _LinVal(self._zero(), {js: ScalarExpr(1, self.table)})
+            return {js: ScalarExpr(1, self.table)}
         entry = self.table.get(text)
         if entry is not None and entry.kind is SymbolKind.TARGET:
             raise ParseError(
                 f"target coordinate {text!r} cannot appear in determining equations",
-                token.line, token.col)
-        raise ParseError(f"unknown symbol {text!r}", token.line, token.col)
+                tok.line, tok.col)
+        raise ParseError(f"unknown symbol {text!r}", tok.line, tok.col)
 
-    def _jet_symbol(self, text, token):
+    def _jet_symbol(self, text, tok):
         if text in self.fields:
             return McGenerator(self.fields.index(text), MultiIndex())
         if "_" not in text:
@@ -148,49 +137,19 @@ class _LinearSemantics:
         if entries is None:
             raise ParseError(
                 f"cannot read {suffix!r} as derivative coordinates in {text!r}",
-                token.line, token.col)
+                tok.line, tok.col)
         return McGenerator(self.fields.index(base), MultiIndex(tuple(entries)))
 
-    def add(self, a, b, token):
-        jets = dict(a.jets)
-        for k, v in b.jets.items():
-            accumulate(jets, k, v)
-        return _LinVal(a.scalar + b.scalar, jets)
+    def nonscalar(self, op):
+        what = "product of jet symbols" if op.text == "*" else "division by a jet symbol"
+        return NonlinearInputError(f"nonlinear term: {what} at line {op.line}")
 
-    def sub(self, a, b, token):
-        return self.add(a, self.neg(b), token)
-
-    def neg(self, a):
-        return _LinVal(-a.scalar, {k: -v for k, v in a.jets.items()})
-
-    def mul(self, a, b, token):
-        if a.jets and b.jets:
+    def power(self, base, exponent, op):
+        n = self.exponent(exponent, op)
+        if n != 1:
             raise NonlinearInputError(
-                f"nonlinear term: product of jet symbols at line {token.line}")
-        if b.jets:
-            a, b = b, a
-        return _LinVal(a.scalar * b.scalar,
-                       {k: v * b.scalar for k, v in a.jets.items()})
-
-    def div(self, a, b, token):
-        if b.jets:
-            raise NonlinearInputError(
-                f"nonlinear term: division by a jet symbol at line {token.line}")
-        if b.scalar.is_zero:
-            raise ParseError("division by zero", token.line, token.col)
-        return _LinVal(a.scalar / b.scalar,
-                       {k: v / b.scalar for k, v in a.jets.items()})
-
-    def power(self, a, b, token):
-        if b.jets or not b.scalar.expr.is_Integer:
-            raise ParseError("exponent must be an integer", token.line, token.col)
-        n = int(b.scalar.expr)
-        if a.jets:
-            if n == 1:
-                return a
-            raise NonlinearInputError(
-                f"nonlinear term: jet symbol raised to power {n} at line {token.line}")
-        return _LinVal(a.scalar ** n)
+                f"nonlinear term: jet symbol raised to power {n} at line {op.line}")
+        return base
 
 
 def _parse_coord_suffix(suffix: str, coords: list[str]):
@@ -256,21 +215,19 @@ def parse_system(text: str) -> DeterminingSystem:
     for t in targets:
         table.declare(t, SymbolKind.TARGET)
 
-    sem = _LinearSemantics(table, coords, fields)
+    parser = _EquationParser(table, coords, fields)
     equations = []
     for text_eq, lineno in raw_equations:
         if text_eq.count("=") != 1:
             raise ParseError("an equation needs exactly one '='", lineno, 1)
-        lhs_text, rhs_text = text_eq.split("=")
-        lhs = ExprParser(tokenize(lhs_text, lineno), sem).parse()
-        rhs = ExprParser(tokenize(rhs_text, lineno), sem).parse()
-        diff = sem.sub(lhs, rhs, None)
-        if not diff.scalar.is_zero:
+        lhs, rhs = (parser.parse(side, lineno) for side in text_eq.split("="))
+        diff = graded_add(lhs, graded_neg(rhs))
+        if SCALAR in diff:
             raise ParseError(
-                f"equation is not homogeneous (constant term {diff.scalar})", lineno, 1)
-        if not diff.jets:
+                f"equation is not homogeneous (constant term {diff[SCALAR]})", lineno, 1)
+        if not diff:
             raise ParseError("equation has no jet symbols", lineno, 1)
-        equations.append(LinearPdeEquation(dict(diff.jets)))
+        equations.append(LinearPdeEquation(diff))
 
     return DeterminingSystem(table, coords, targets, fields, equations)
 

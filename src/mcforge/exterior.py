@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .kernel import McforgeError, ScalarExpr, accumulate
+from .kernel import McforgeError, ScalarExpr, accumulate, graded_add, graded_neg
 from .multiindex import MultiIndex
 
 
@@ -61,16 +61,13 @@ class _FormBase:
         return not self.terms
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            accumulate(terms, k, v)
-        return type(self)(terms)
+        return type(self)(graded_add(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        return type(self)({k: -v for k, v in self.terms.items()})
+        return type(self)(graded_neg(self.terms))
 
     def scale(self, c):
         return type(self)({k: v * c for k, v in self.terms.items()})

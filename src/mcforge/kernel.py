@@ -280,9 +280,6 @@ class ScalarExpr:
     def __str__(self):
         return sp.sstr(self.expr, order="lex")
 
-    def latex(self) -> str:
-        return sp.latex(self.expr, order="lex")
-
 
 # ---------------------------------------------------------------------------
 # Sparse Gauss-Jordan elimination over ScalarExpr
@@ -369,6 +366,30 @@ def echelon(rows: Iterable[Mapping], key) -> tuple[dict, int]:
 
 
 # ---------------------------------------------------------------------------
+# Graded values: a dict from basis key to nonzero ScalarExpr, the scalar part
+# under the key SCALAR.  Every input grammar parses into one, and a form's
+# terms are one with no scalar part.
+# ---------------------------------------------------------------------------
+
+SCALAR = ()
+
+
+def graded_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, v in b.items():
+        accumulate(out, k, v)
+    return out
+
+
+def graded_neg(a: dict) -> dict:
+    return {k: -v for k, v in a.items()}
+
+
+def is_scalar(a: dict) -> bool:
+    return a.keys() <= {SCALAR}
+
+
+# ---------------------------------------------------------------------------
 # Shared expression grammar: integers, declared identifiers, + - * / ^ with
 # integer exponents, parentheses, unary minus; ^ binds tightest.
 # ---------------------------------------------------------------------------
@@ -414,16 +435,46 @@ def split_names(line: str, lineno: int) -> list[str]:
 
 
 class ExprParser:
-    """Recursive-descent parser over pluggable semantics.
+    """Recursive-descent parser that evaluates into graded values.
 
-    The semantics object supplies: integer(n), name(text, token),
-    add/sub/mul/div(a, b, token), neg(a), power(a, b, token).
+    Every grammar shares this arithmetic and differs only in ``name`` (what an
+    identifier stands for), ``nonscalar`` (the error for a product or
+    division of two non-scalars) and ``power`` (what '^' means when a side is
+    not a scalar).  This base grammar reads every name as a declared symbol,
+    so its values are all scalars.
     """
 
-    def __init__(self, tokens: list[Token], semantics):
-        self.tokens = tokens
-        self.pos = 0
-        self.sem = semantics
+    def __init__(self, table: SymbolTable):
+        self.table = table
+
+    def name(self, tok: Token) -> dict:
+        entry = self.table.get(tok.text)
+        if entry is None:
+            raise ParseError(f"unknown symbol {tok.text!r}", tok.line, tok.col)
+        return {SCALAR: self.table.expr(entry)}
+
+    def nonscalar(self, op: Token) -> Exception:
+        raise NotImplementedError
+
+    def power(self, base: dict, exponent: dict, op: Token) -> dict:
+        raise NotImplementedError
+
+    def exponent(self, value: dict, op: Token) -> int:
+        """The integer a graded value stands for, as the exponent of '^' at ``op``."""
+        if not value:
+            return 0
+        if value.keys() != {SCALAR} or not value[SCALAR].expr.is_Integer:
+            raise ParseError("exponent must be an integer", op.line, op.col)
+        return int(value[SCALAR].expr)
+
+    def scalar(self, c: ScalarExpr) -> dict:
+        return {SCALAR: c} if c else {}
+
+    def parse(self, text: str, line_offset: int = 1) -> dict:
+        self.tokens, self.pos = tokenize(text, line_offset), 0
+        value = self.parse_sum()
+        self.expect_end()
+        return value
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -438,17 +489,12 @@ class ExprParser:
         if tok.kind != "end":
             raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 
-    def parse(self):
-        value = self.parse_sum()
-        self.expect_end()
-        return value
-
     def parse_sum(self):
         value = self.parse_term()
         while self.peek().text in ("+", "-"):
             op = self.next()
             rhs = self.parse_term()
-            value = self.sem.add(value, rhs, op) if op.text == "+" else self.sem.sub(value, rhs, op)
+            value = graded_add(value, rhs if op.text == "+" else graded_neg(rhs))
         return value
 
     def parse_term(self):
@@ -456,33 +502,48 @@ class ExprParser:
         while self.peek().text in ("*", "/"):
             op = self.next()
             rhs = self.parse_factor()
-            value = self.sem.mul(value, rhs, op) if op.text == "*" else self.sem.div(value, rhs, op)
+            if not is_scalar(rhs):
+                if op.text == "/" or not is_scalar(value):
+                    raise self.nonscalar(op)
+                value, rhs = rhs, value
+            if op.text == "/":
+                if not rhs:
+                    raise ParseError("division by zero", op.line, op.col)
+                # one division, so the divisor enters the ledger once
+                rhs = {SCALAR: 1 / rhs[SCALAR]}
+            value = {k: v * rhs[SCALAR] for k, v in value.items()} if rhs else {}
         return value
 
     def parse_factor(self):
         if self.peek().text == "-":
             self.next()
-            return self.sem.neg(self.parse_factor())
+            return graded_neg(self.parse_factor())
         return self.parse_power()
 
     def parse_power(self):
         base = self.parse_atom()
-        if self.peek().text == "^":
-            op = self.next()
-            if self.peek().text == "-":
-                self.next()
-                exponent = self.sem.neg(self.parse_power())
-            else:
-                exponent = self.parse_power()
-            return self.sem.power(base, exponent, op)
-        return base
+        if self.peek().text != "^":
+            return base
+        op = self.next()
+        if self.peek().text == "-":
+            self.next()
+            exponent = graded_neg(self.parse_power())
+        else:
+            exponent = self.parse_power()
+        if not (is_scalar(base) and is_scalar(exponent)):
+            return self.power(base, exponent, op)
+        n = self.exponent(exponent, op)
+        c = base[SCALAR] if base else ScalarExpr(0, self.table)
+        if n < 0 and not c:
+            raise ParseError("division by zero", op.line, op.col)
+        return self.scalar(c ** n)
 
     def parse_atom(self):
         tok = self.next()
         if tok.kind == "int":
-            return self.sem.integer(int(tok.text))
+            return self.scalar(ScalarExpr(int(tok.text), self.table))
         if tok.kind == "name":
-            return self.sem.name(tok.text, tok)
+            return self.name(tok)
         if tok.text == "(":
             value = self.parse_sum()
             closing = self.next()
@@ -492,43 +553,6 @@ class ExprParser:
         raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 
 
-class ScalarSemantics:
-    """Plain rational-function semantics over a symbol table."""
-
-    def __init__(self, table: SymbolTable):
-        self.table = table
-
-    def integer(self, n):
-        return ScalarExpr(sp.Integer(n), self.table)
-
-    def name(self, text, token):
-        entry = self.table.get(text)
-        if entry is None:
-            raise ParseError(f"unknown symbol {text!r}", token.line, token.col)
-        return self.table.expr(entry)
-
-    def add(self, a, b, token):
-        return a + b
-
-    def sub(self, a, b, token):
-        return a - b
-
-    def mul(self, a, b, token):
-        return a * b
-
-    def div(self, a, b, token):
-        if b.is_zero:
-            raise ParseError("division by zero", token.line, token.col)
-        return a / b
-
-    def neg(self, a):
-        return -a
-
-    def power(self, a, b, token):
-        if not isinstance(b, ScalarExpr) or not b.expr.is_Integer:
-            raise ParseError("exponent must be an integer", token.line, token.col)
-        return a ** int(b.expr)
-
-
 def parse_expr(text: str, table: SymbolTable, line_offset: int = 1) -> ScalarExpr:
-    return ExprParser(tokenize(text, line_offset), ScalarSemantics(table)).parse()
+    value = ExprParser(table).parse(text, line_offset)
+    return value[SCALAR] if value else ScalarExpr(0, table)

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import sympy
 
-from mcforge import detsys, kernel
+# tracing.install hooks coordforms and render too: import them before the snapshot
+from mcforge import coordforms, detsys, kernel, render  # noqa: F401
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 

@@ -348,3 +348,46 @@ def test_duplicate_coframe_names_exit_2(tmp_path, capsys, old, new, line):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and f"(line {line}, column 1)" in err
+
+
+# ---------------------------------------------------------------------------
+# Input grammar: zero forms, scalar parts under '^', and the ledger's order
+# ---------------------------------------------------------------------------
+
+
+def _coframe(tmp_path, form1="dx", claim1="0", claim2="(1/x)*w1^w2"):
+    path = tmp_path / "claims.coframe"
+    path.write_text(f"symbols: x, y\nform w1 = {form1}\nform w2 = dy - (y/x)*dx\n"
+                    f"dw1 = {claim1}\ndw2 = {claim2}\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("form1, claim1", [
+    ("dx", "(w1^w1)^2"),             # w1^w1 = 0, and so is its square
+    ("(0*dx)^2 + dx", "0"),          # a zero form raised to a power
+])
+def test_zero_form_powers_verify(tmp_path, capsys, form1, claim1):
+    code, out, err = run(capsys, "verify-coframe", _coframe(tmp_path, form1, claim1))
+    assert (code, err) == (0, "")
+    assert out == "dw1: ok\ndw2: ok\nverified\n"
+
+
+def test_wedge_of_form_with_scalar_part_exit_2(tmp_path, capsys):
+    path = _coframe(tmp_path, claim2="(1/x + w1)^w2")
+    code, out, err = run(capsys, "verify-coframe", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "(line 5, column 11)" in err
+
+
+@pytest.mark.parametrize("equation, expected", [
+    ("xi_x + 0/(x - 1) = 0", ["X - 1"]),     # a zero numerator still records
+    ("xi_x = xi/(x*y)", ["X*Y"]),
+    ("xi_x/(y + 1) + 0/(x - 1) = xi/(x*y)", ["Y + 1", "X - 1", "X*Y"]),
+])
+def test_input_divisors_listed_in_parse_order(tmp_path, capsys, equation, expected):
+    path = tmp_path / "divisors.dsys"
+    path.write_text(f"coords: x, y\nfields: xi, eta\neq: {equation}\n")
+    code, out, _ = run(capsys, "structure", str(path), "--order", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["assumptions"] == expected
