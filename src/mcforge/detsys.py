@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import sympy as sp
-
 from .exterior import McGenerator, OneForm
 from .kernel import (
     SCALAR,
@@ -56,11 +54,16 @@ class LinearPdeEquation:
 
     def normal_key(self):
         # scale-invariant canonical key for deduplication
-        c0 = self.terms[self.pivot()].expr
-        items = [((js.component, js.index.entries), sp.cancel(c.expr / c0))
+        c0 = self.terms[self.pivot()]
+        items = [((js.component, js.index.entries), c.ratio(c0))
                  for js, c in self.terms.items()]
         items.sort(key=lambda it: it[0])
         return tuple(items)
+
+
+def _key_text(key) -> str:
+    """A normal key spelled with sympy expressions, the tie-break between rows."""
+    return str(tuple((jet, c.expr) for jet, c in key))
 
 
 @dataclass
@@ -299,7 +302,7 @@ class _Closure:
                     self.pending.append(derived)
         # after a raise every new row has the new bound as its order, so the
         # new rows sort after every earlier row
-        new.sort(key=lambda item: (item[1].pivot().sort_key(), str(item[0])))
+        new.sort(key=lambda item: (item[1].pivot().sort_key(), _key_text(item[0])))
         return [eq for _, eq in new]
 
     def system(self) -> DeterminingSystem:
@@ -340,7 +343,7 @@ class SolvedSourceRelations:
 
     def shape_key(self):
         return frozenset(
-            (p, frozenset((j, c.expr) for j, c in rhs.items()))
+            (p, frozenset(rhs.items()))
             for p, rhs in self.solved.items())
 
 
@@ -432,8 +435,7 @@ class LiftedRelations:
 def lift(solved: SolvedSourceRelations) -> LiftedRelations:
     """Replace z by Z in every coefficient; a jet's key already names its generator."""
     sys = solved.system
-    rename = {sys.source_symbol(a): sys.table.expr(sys.targets[a])
-              for a in range(sys.dim)}
+    rename = {sys.source_symbol(a): sys.target_symbol(a) for a in range(sys.dim)}
 
     def lift_coeff(c: ScalarExpr) -> ScalarExpr:
         return c.substitute(rename)

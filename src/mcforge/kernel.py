@@ -1,21 +1,31 @@
-"""Exact scalar arithmetic: rational functions over the integers in declared symbols.
+"""Exact scalar arithmetic: rational functions over QQ in declared symbols.
 
-Every coefficient anywhere in the engine is a ScalarExpr: a canonical ratio of
-multivariate polynomials with exact integer coefficients.  Equality of values
-is decidable (the difference cancels to the structural zero), which is what
-makes row reduction and all downstream verification exact.
+Every coefficient anywhere in the engine is a ScalarExpr, held in one of two
+exact representations.  A rational constant, which nearly every value is, is a
+``fractions.Fraction``.  Any other value is an element of the one
+rational-function field over QQ (``sympy.polys.fields``) that its SymbolTable
+builds in the declared symbols.  The field keeps numerator and denominator
+coprime with normalized signs, so equal values are structurally identical:
+equality is decidable without simplifying, which is what makes row reduction
+and all downstream verification exact.
+
+No arithmetic goes through sympy expressions or sympy's simplifier.  A sympy
+``Expr`` appears only at the edges: ``ScalarExpr.expr`` (rendering, and the
+normal form of genericity-ledger entries) and a value built from an ``Expr``.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 import sympy as sp
+from sympy import QQ
+from sympy.polys.fields import FracElement, FracField
+from sympy.polys.polyutils import _sort_gens
 
 
 class McforgeError(Exception):
@@ -77,28 +87,32 @@ class SymbolTable:
     function that has been divided by during the session, input-coefficient
     denominators and elimination pivots alike; all reports surface it so
     standing assumptions like x != 0 are explicit.
+
+    ``field`` is the rational-function field over QQ in the declared symbols
+    that holds every non-constant value built with this table.  It is built on
+    first use and built again after a later declaration.
     """
 
     def __init__(self):
         self._symbols: dict[str, Symbol] = {}
-        self._lock = threading.Lock()
+        self._field: Optional[FracField] = None
         self.assumed_nonzero: list[ScalarExpr] = []
-        self._recorded: set[sp.Expr] = set()  # raw values already normalized
+        self._recorded: set[ScalarExpr] = set()  # values already normalized
 
     def declare(self, name: str, kind: SymbolKind) -> Symbol:
         if not _NAME_RE.match(name):
             raise ParseError(f"invalid identifier {name!r}")
-        with self._lock:
-            existing = self._symbols.get(name)
-            if existing is not None:
-                if existing.kind is kind:
-                    return existing
-                raise DuplicateSymbolError(
-                    f"symbol {name!r} already declared as {existing.kind.value}"
-                )
-            symbol = Symbol(name, kind, sp.Symbol(name))
-            self._symbols[name] = symbol
-            return symbol
+        existing = self._symbols.get(name)
+        if existing is not None:
+            if existing.kind is kind:
+                return existing
+            raise DuplicateSymbolError(
+                f"symbol {name!r} already declared as {existing.kind.value}"
+            )
+        symbol = Symbol(name, kind, sp.Symbol(name))
+        self._symbols[name] = symbol
+        self._field = None
+        return symbol
 
     def lookup(self, name: str) -> Symbol:
         try:
@@ -109,22 +123,34 @@ class SymbolTable:
     def get(self, name: str):
         return self._symbols.get(name)
 
+    @property
+    def field(self) -> FracField:
+        if self._field is None:
+            # sympy's cancel() orders generators this way, and the field fixes
+            # the signs of numerator and denominator by its generator order, so
+            # ScalarExpr.expr comes out as cancel(together(...)) would print it
+            gens = _sort_gens([s.sym for s in self._symbols.values()])
+            self._field = FracField(gens, QQ)
+        return self._field
+
+    def generator(self, symbol: Symbol) -> FracElement:
+        """``symbol`` as a generator of ``field``."""
+        field = self.field
+        return field.gens[field.symbols.index(symbol.sym)]
+
     def expr(self, symbol: Symbol | str) -> "ScalarExpr":
         if isinstance(symbol, str):
             symbol = self.lookup(symbol)
-        return ScalarExpr(symbol.sym, self)
+        return ScalarExpr(self.generator(symbol), self)
 
     def record_nonzero(self, value: "ScalarExpr") -> None:
-        # a raw value seen before is constant or already in the ledger
-        raw = value.expr
-        with self._lock:
-            if raw in self._recorded:
-                return
-        expr = _nonzero_normal_form(raw)
-        with self._lock:
-            self._recorded.add(raw)
-            if expr is not None and all(expr != a.expr for a in self.assumed_nonzero):
-                self.assumed_nonzero.append(ScalarExpr(expr, self))
+        # a value seen before is constant or already in the ledger
+        if value in self._recorded:
+            return
+        self._recorded.add(value)
+        expr = _nonzero_normal_form(value.expr)
+        if expr is not None and all(expr != a.expr for a in self.assumed_nonzero):
+            self.assumed_nonzero.append(ScalarExpr(expr, self))
 
 
 def _nonzero_normal_form(expr: sp.Expr):
@@ -148,128 +174,226 @@ def _nonzero_normal_form(expr: sp.Expr):
 def _coerce(value, table):
     if isinstance(value, ScalarExpr):
         return value
-    if isinstance(value, int):
-        return ScalarExpr(sp.Integer(value), table)
-    if isinstance(value, Fraction):
-        return ScalarExpr(sp.Rational(value.numerator, value.denominator), table)
-    if isinstance(value, sp.Expr):
+    if isinstance(value, (int, Fraction, sp.Expr)):
         return ScalarExpr(value, table)
     raise TypeError(f"cannot interpret {value!r} as a ScalarExpr")
 
 
-class ScalarExpr:
-    """A rational function over the integers in declared symbols, kept canonical.
+def _in_field(value, field: FracField):
+    """A ScalarExpr's value as an operand of ``field``'s arithmetic."""
+    if type(value) is Fraction:
+        return QQ(value.numerator, value.denominator)
+    return value if value.field is field else value.set_field(field)
 
-    Canonical form: numerator/denominator with common factors cancelled, so
-    equal values are structurally identical and zero is unique.
+
+def _field_value(f: FracElement, table: SymbolTable | None):
+    """A canonical field element as a ScalarExpr value: a Fraction when it is constant."""
+    numer, denom = f.numer, f.denom
+    if numer.is_ground and denom.is_ground:
+        q = numer.LC / denom.LC
+        return Fraction(int(q.numerator), int(q.denominator))
+    if table is None:
+        raise McforgeError(f"{f} is not constant and has no symbol table")
+    return f
+
+
+_ZERO = Fraction(0)
+
+
+class ScalarExpr:
+    """An exact scalar: a rational constant or a rational function over QQ.
+
+    A constant is a ``Fraction``, and its arithmetic never calls sympy.  Any
+    other value is an element of its symbol table's ``field``, kept canonical
+    (numerator and denominator coprime, signs fixed by the generator order).
+    Equality is structural, so a constant never equals a non-constant.
+    ``expr``, the value as a sympy expression, is built on first use.
     """
 
-    __slots__ = ("expr", "table")
+    __slots__ = ("value", "table", "_expr")
 
     def __init__(self, expr, table: SymbolTable | None = None):
-        if isinstance(expr, (int, Fraction)):
-            expr = sp.Rational(expr)
-        self.expr = sp.cancel(sp.together(expr))
         self.table = table
+        self._expr = None
+        if type(expr) is Fraction:
+            value = expr
+        elif isinstance(expr, FracElement):
+            value = _field_value(expr, table)
+        elif isinstance(expr, (int, Fraction)):
+            value = Fraction(expr)
+        elif isinstance(expr, sp.Expr) and expr.is_Rational:
+            value = Fraction(int(expr.p), int(expr.q))
+            self._expr = expr
+        elif isinstance(expr, sp.Expr) and table is not None:
+            try:
+                value = _field_value(table.field.from_expr(expr), table)
+            except ValueError:
+                raise McforgeError(
+                    f"{expr} is not a rational function of declared symbols") from None
+        elif isinstance(expr, sp.Expr):
+            raise McforgeError(f"{expr} is not constant and has no symbol table")
+        else:
+            raise TypeError(f"cannot interpret {expr!r} as a ScalarExpr")
+        self.value = value
 
     # -- predicates ----------------------------------------------------
 
     @property
+    def expr(self) -> sp.Expr:
+        if self._expr is None:
+            value = self.value
+            self._expr = (sp.Rational(value.numerator, value.denominator)
+                          if type(value) is Fraction else value.as_expr())
+        return self._expr
+
+    @property
     def is_zero(self) -> bool:
-        return self.expr == 0
+        return not self.value
 
     @property
     def is_constant(self) -> bool:
-        return self.expr.is_number
+        return type(self.value) is Fraction
 
     def as_fraction(self) -> Fraction:
-        if not self.expr.is_Rational:
-            raise McforgeError(f"{self.expr} is not a rational constant")
-        return Fraction(int(self.expr.p), int(self.expr.q))
+        if type(self.value) is not Fraction:
+            raise McforgeError(f"{self} is not a rational constant")
+        return self.value
+
+    @property
+    def degree(self) -> int:
+        """Total degree of the numerator or the denominator, whichever is larger."""
+        if type(self.value) is Fraction:
+            return 0
+        return max(sum(m) for p in (self.value.numer, self.value.denom)
+                   for m in p.itermonoms())
 
     @property
     def free_names(self) -> set[str]:
-        return {s.name for s in self.expr.free_symbols}
+        if type(self.value) is Fraction:
+            return set()
+        f = self.value
+        exponents = zip(*f.numer.itermonoms(), *f.denom.itermonoms())
+        return {s.name for s, e in zip(f.field.symbols, exponents) if any(e)}
 
     # -- arithmetic ----------------------------------------------------
 
-    def _other(self, value):
+    def _operands(self, value):
+        """(a, b, table): self and value as two Fractions or as two field operands."""
         other = _coerce(value, self.table)
-        return other, (self.table or other.table)
+        table = self.table or other.table
+        a, b = self.value, other.value
+        if type(a) is Fraction and type(b) is Fraction:
+            return a, b, table
+        field = table.field
+        return _in_field(a, field), _in_field(b, field), table
 
     def __add__(self, value):
-        other, table = self._other(value)
-        return ScalarExpr(self.expr + other.expr, table)
+        a, b, table = self._operands(value)
+        return ScalarExpr(a + b, table)
 
     __radd__ = __add__
 
     def __sub__(self, value):
-        other, table = self._other(value)
-        return ScalarExpr(self.expr - other.expr, table)
+        a, b, table = self._operands(value)
+        return ScalarExpr(a - b, table)
 
     def __rsub__(self, value):
-        other, table = self._other(value)
-        return ScalarExpr(other.expr - self.expr, table)
+        a, b, table = self._operands(value)
+        return ScalarExpr(b - a, table)
 
     def __mul__(self, value):
-        other, table = self._other(value)
-        return ScalarExpr(self.expr * other.expr, table)
+        a, b, table = self._operands(value)
+        return ScalarExpr(a * b, table)
 
     __rmul__ = __mul__
 
     def __truediv__(self, value):
-        other, table = self._other(value)
+        other = _coerce(value, self.table)
         if other.is_zero:
             raise ZeroDivisionFunctionError("division by the zero function")
+        table = self.table or other.table
         if table is not None and not other.is_constant:
             table.record_nonzero(other)
-        return ScalarExpr(self.expr / other.expr, table)
+        return self.ratio(other)
 
     def __rtruediv__(self, value):
-        other, _ = self._other(value)
-        return other / self
+        return _coerce(value, self.table) / self
+
+    def ratio(self, value) -> "ScalarExpr":
+        """self / value for a nonzero value, recording nothing in the ledger."""
+        a, b, table = self._operands(value)
+        return ScalarExpr(a / b, table)
 
     def __neg__(self):
-        return ScalarExpr(-self.expr, self.table)
+        return ScalarExpr(-self.value, self.table)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             raise McforgeError("only integer exponents are supported")
+        value = self.value
         if exponent < 0:
             if self.is_zero:
                 raise ZeroDivisionFunctionError("negative power of the zero function")
             if self.table is not None and not self.is_constant:
                 self.table.record_nonzero(self)
-        return ScalarExpr(self.expr ** exponent, self.table)
+        if type(value) is Fraction or exponent >= 0:
+            return ScalarExpr(value ** exponent, self.table)
+        power = value ** -exponent
+        return ScalarExpr(power.field.new(power.denom, power.numer), self.table)
 
     # -- calculus ------------------------------------------------------
 
     def diff(self, symbol: Symbol) -> "ScalarExpr":
-        return ScalarExpr(sp.diff(self.expr, symbol.sym), self.table)
+        if type(self.value) is Fraction:
+            return ScalarExpr(_ZERO, self.table)
+        table = self.table
+        return ScalarExpr(_in_field(self.value, table.field).diff(table.generator(symbol)),
+                          table)
 
-    def substitute(self, mapping: Mapping[Symbol, "ScalarExpr | int | Fraction"]) -> "ScalarExpr":
-        subs = {}
-        for key, value in mapping.items():
-            coerced = _coerce(value, self.table)
-            subs[key.sym] = coerced.expr
-        result = self.expr.subs(subs, simultaneous=True)
-        result = sp.cancel(sp.together(result))
-        if result.has(sp.zoo) or result.has(sp.nan) or result.has(sp.oo):
+    def substitute(self, mapping: Mapping[Symbol, "Symbol | ScalarExpr | int | Fraction"]
+                   ) -> "ScalarExpr":
+        """Replace symbols simultaneously by symbols, rational constants or polynomials."""
+        if type(self.value) is Fraction:
+            return ScalarExpr(self.value, self.table)
+        table = self.table
+        field = table.field
+        f = _in_field(self.value, field)
+        pairs = []
+        for symbol, value in mapping.items():
+            if isinstance(value, Symbol):
+                value = table.generator(value)
+            else:
+                value = _in_field(_coerce(value, table).value, field)
+            if isinstance(value, FracElement):
+                if value.denom != 1:
+                    raise McforgeError(f"cannot substitute the non-polynomial {value}")
+                value = value.numer
+            pairs.append((table.generator(symbol).numer, value))
+        numer, denom = f.numer.compose(pairs), f.denom.compose(pairs)
+        if not denom:
             raise DegeneratePointError(
-                f"substitution into {self.expr} produced a zero denominator"
-            )
-        return ScalarExpr(result, self.table)
+                f"substitution into {self.expr} produced a zero denominator")
+        return ScalarExpr(field.new(numer, denom), table)
 
     # -- identity ------------------------------------------------------
 
     def __eq__(self, value) -> bool:
-        if isinstance(value, (int, Fraction, ScalarExpr, sp.Expr)):
-            other, _ = self._other(value)
-            return sp.cancel(self.expr - other.expr) == 0
-        return NotImplemented
+        if not isinstance(value, (int, Fraction, ScalarExpr, sp.Expr)):
+            return NotImplemented
+        other = _coerce(value, self.table)
+        a, b = self.value, other.value
+        if type(a) is not type(b):
+            return False
+        if type(a) is Fraction:
+            return a == b
+        field = self.table.field
+        return _in_field(a, field) == _in_field(b, field)
 
     def __hash__(self):
-        return hash(self.expr)
+        value = self.value
+        if type(value) is Fraction:
+            return hash(value)
+        return hash(_in_field(value, self.table.field))
 
     def __bool__(self):
         return not self.is_zero
@@ -394,6 +518,14 @@ def is_scalar(a: dict) -> bool:
 # integer exponents, parentheses, unary minus; ^ binds tightest.
 # ---------------------------------------------------------------------------
 
+# Bounds on what one line may ask for, so every input either finishes or is
+# refused with a ParseError: how deep parentheses, unary minus and '^' may
+# nest (each level costs a few interpreter frames), and how large a power's
+# result may be, as total degree or, for a constant, as bits.
+MAX_NESTING = 100
+MAX_POWER_DEGREE = 64
+MAX_POWER_BITS = 4096
+
 _TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()]|\S")
 
 
@@ -463,15 +595,38 @@ class ExprParser:
         """The integer a graded value stands for, as the exponent of '^' at ``op``."""
         if not value:
             return 0
-        if value.keys() != {SCALAR} or not value[SCALAR].expr.is_Integer:
+        c = value.get(SCALAR)
+        if value.keys() != {SCALAR} or not c.is_constant or c.as_fraction().denominator != 1:
             raise ParseError("exponent must be an integer", op.line, op.col)
-        return int(value[SCALAR].expr)
+        return int(c.as_fraction())
+
+    def check_power(self, c: ScalarExpr, n: int, op: Token) -> None:
+        """Refuse c^n at ``op`` when its result would exceed the power bounds."""
+        if c.is_constant:
+            q = c.as_fraction()
+            size = abs(n) * max(q.numerator.bit_length(), q.denominator.bit_length())
+            limit, unit = MAX_POWER_BITS, "bits"
+        else:
+            size, limit, unit = abs(n) * c.degree, MAX_POWER_DEGREE, "degree"
+        if size > limit:
+            raise ParseError(f"power too large: {unit} {size} exceeds {limit}",
+                             op.line, op.col)
+
+    def nested(self, tok: Token, parse):
+        """``parse()`` one nesting level below ``tok``, within MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels",
+                             tok.line, tok.col)
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def scalar(self, c: ScalarExpr) -> dict:
         return {SCALAR: c} if c else {}
 
     def parse(self, text: str, line_offset: int = 1) -> dict:
-        self.tokens, self.pos = tokenize(text, line_offset), 0
+        self.tokens, self.pos, self.depth = tokenize(text, line_offset), 0, 0
         value = self.parse_sum()
         self.expect_end()
         return value
@@ -516,8 +671,7 @@ class ExprParser:
 
     def parse_factor(self):
         if self.peek().text == "-":
-            self.next()
-            return graded_neg(self.parse_factor())
+            return graded_neg(self.nested(self.next(), self.parse_factor))
         return self.parse_power()
 
     def parse_power(self):
@@ -527,15 +681,16 @@ class ExprParser:
         op = self.next()
         if self.peek().text == "-":
             self.next()
-            exponent = graded_neg(self.parse_power())
+            exponent = graded_neg(self.nested(op, self.parse_power))
         else:
-            exponent = self.parse_power()
+            exponent = self.nested(op, self.parse_power)
         if not (is_scalar(base) and is_scalar(exponent)):
             return self.power(base, exponent, op)
         n = self.exponent(exponent, op)
         c = base[SCALAR] if base else ScalarExpr(0, self.table)
         if n < 0 and not c:
             raise ParseError("division by zero", op.line, op.col)
+        self.check_power(c, n, op)
         return self.scalar(c ** n)
 
     def parse_atom(self):
@@ -545,7 +700,7 @@ class ExprParser:
         if tok.kind == "name":
             return self.name(tok)
         if tok.text == "(":
-            value = self.parse_sum()
+            value = self.nested(tok, self.parse_sum)
             closing = self.next()
             if closing.text != ")":
                 raise ParseError("expected ')'", closing.line, closing.col)

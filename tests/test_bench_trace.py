@@ -1,0 +1,45 @@
+"""One traced and one untraced ``rational-solve`` job through the benchmark's loop.
+
+``perfbench/run.py --trace 1`` exits 1 when ``tracing.install`` cannot find a
+name it hooks, when a traced job's span self times do not account for its wall
+time within 1%, or when a job has other than one root span.  This test runs
+the two jobs through ``run.Loop`` and ``run.trace_metrics`` as the runner
+does, so those failures show up in every ``pytest`` run, and it checks the
+scalar layer's counts for the traced job.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def bench_run(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.Loop imports workloads and tracing
+    spec = importlib.util.spec_from_file_location("_mcforge_bench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    for name in ("workloads", "tracing"):
+        sys.modules.pop(name, None)
+
+
+def test_traced_rational_solve_job(bench_run):
+    from tracing import Tracer
+
+    tracer = Tracer()
+    loop = bench_run.Loop("rational-solve", 1, tracer)
+    traced_s = loop.run_job(1, traced=True)
+    untraced_s = loop.run_job(2, traced=False)
+    assert loop.failed == 0
+    metrics = bench_run.trace_metrics(tracer, [1], [traced_s], [untraced_s],
+                                      loop.source.points.redraws)
+    # sympy's cancel now runs only for genericity-ledger entries: 5 calls in
+    # this job, where cancelling every ScalarExpr took 8 839
+    assert metrics["kernel.cancel_calls"][0] < 100
+    # every division and non-constant pivot still reaches the ledger
+    assert metrics["kernel.assumptions"][0] == 70

@@ -391,3 +391,27 @@ def test_input_divisors_listed_in_parse_order(tmp_path, capsys, equation, expect
     code, out, _ = run(capsys, "structure", str(path), "--order", "1", "--format", "json")
     assert code == 0
     assert json.loads(out)["assumptions"] == expected
+
+
+# ---------------------------------------------------------------------------
+# Input bounds: nesting depth and the size of a power
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("expression, message", [
+    ("(" * 10000 + "x" + ")" * 10000, "nested deeper than 100 levels"),
+    ("-" * 10000 + "x", "nested deeper than 100 levels"),
+    ("2^3^3^3", "power too large"),
+    ("(x + 1)^400", "power too large"),
+])
+def test_input_bounds_exit_2_in_both_grammars(tmp_path, capsys, expression, message):
+    dsys = tmp_path / "bound.dsys"
+    dsys.write_text(f"coords: x\nfields: xi\neq: {expression}*xi_x = xi\n")
+    coframe = tmp_path / "bound.coframe"
+    coframe.write_text(f"symbols: x, y\nform w1 = dx\nform w2 = {expression}*dy\n")
+    for argv in (("structure", str(dsys), "--order", "1"), ("verify-coframe", str(coframe))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err and "(line 3, column " in err
+        assert "Traceback" not in err

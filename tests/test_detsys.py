@@ -313,3 +313,31 @@ def small_linear_systems(draw):
        cap_step=st.sampled_from([None, 1]))
 def test_solve_to_order_equals_from_scratch_on_small_systems(text, order, cap_step):
     assert_same_solution(text, order, None if cap_step is None else order + cap_step)
+
+
+def test_two_equation_rational_system_keeps_its_answer():
+    # exact elimination here once swelled to seconds for 9 pivots; the solved
+    # form, parametric jets and ledger below were recorded before the
+    # rational-function field replaced sympy's cancel
+    sys = parse_system("coords: x, y\nfields: xi, eta\n"
+                       "eq: (x*y - 1)*eta_x + (1/x)*eta + (y/(x + 1))*xi = 0\n"
+                       "eq: ((x - y)/y)*eta_x = 0\n")
+    sol = solve_to_order(sys, 2, cap=5)
+    name = {js(0): "xi", js(1): "eta", js(0, 0): "xi_x", js(0, 1): "xi_y",
+            js(1, 0): "eta_x", js(1, 1): "eta_y", js(0, 0, 0): "xi_xx",
+            js(0, 0, 1): "xi_xy", js(0, 1, 1): "xi_yy", js(1, 0, 0): "eta_xx",
+            js(1, 0, 1): "eta_xy", js(1, 1, 1): "eta_yy"}
+    solved = {name[p]: {name[j]: str(c) for j, c in rhs.items()}
+              for p, rhs in sol.solved.items()}
+    assert solved == {
+        "eta_x": {}, "eta": {"xi": "-x*y/(x + 1)"}, "eta_xx": {},
+        "xi_x": {"xi": "-1/(x**2 + x)"}, "eta_xy": {},
+        "eta_y": {"xi": "-x/(x + 1)", "xi_y": "-x*y/(x + 1)"},
+        "xi_xx": {"xi": "2/(x**3 + x**2)"}, "xi_xy": {"xi_y": "-1/(x**2 + x)"},
+        "eta_yy": {"xi_y": "-2*x/(x + 1)", "xi_yy": "-x*y/(x + 1)"},
+    }
+    assert list(solved) == ["eta_x", "eta", "eta_xx", "xi_x", "eta_xy", "eta_y",
+                            "xi_xx", "xi_xy", "eta_yy"]
+    assert [name[p] for p in sol.parametric] == ["xi", "xi_y", "xi_yy"]
+    assert [str(a) for a in sol.assumptions] == ["x", "x + 1", "y", "x*y - 1", "x - y"]
+    assert sol.stable

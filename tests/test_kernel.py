@@ -147,6 +147,28 @@ def test_parse_division_and_unary(table):
     assert parse_expr("1/x + -x", table) == 1 / x - x
 
 
+def test_nesting_limit(table):
+    at_limit = "(" * kernel.MAX_NESTING + "x" + ")" * kernel.MAX_NESTING
+    assert parse_expr(at_limit, table) == table.expr("x")
+    assert parse_expr("-" * kernel.MAX_NESTING + "x", table) == table.expr("x")
+    for text in ("(" + at_limit + ")", "-" * 10000 + "x", "x" + "^x" * 10000,
+                 "(" * 10000 + "x" + ")" * 10000):
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse_expr(text, table)
+
+
+def test_power_bounds(table):
+    x = table.expr("x")
+    assert parse_expr("(x^8)^8", table) == x ** 64
+    assert parse_expr("2^2048", table) == 2 ** 2048
+    assert parse_expr("(x/(x + 1))^-64", table) == ((x + 1) / x) ** 64
+    # 2^3^3^3 = 2^7625597484987 is refused before anything that size is built
+    for text in ("x^65", "(x^8)^9", "(x + 1)^400", "x^-65", "2^2049", "(2^64)^65",
+                 "2^3^3^3"):
+        with pytest.raises(ParseError, match="power too large"):
+            parse_expr(text, table)
+
+
 def test_parse_errors(table):
     with pytest.raises(ParseError):
         parse_expr("x +", table)

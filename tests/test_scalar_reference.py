@@ -1,0 +1,131 @@
+"""ScalarExpr against a plain-sympy reference that cancels after every step.
+
+The reference is what ScalarExpr computed before it kept its own exact
+representations: every value is ``cancel(together(expr))`` of the sympy
+expression, every substitution is sympy's simultaneous ``subs`` followed by
+the same cancel, and a pole shows up as ``zoo`` or ``nan``.  The symbols
+``X, x, eta, T`` are chosen because the generator order matters: sympy's
+cancel puts ``x`` first, and the sign of a canonical numerator and
+denominator depends on that order.
+"""
+
+from fractions import Fraction
+
+import pytest
+import sympy as sp
+from hypothesis import given, settings, strategies as st
+
+from mcforge.kernel import DegeneratePointError, ScalarExpr, SymbolKind, SymbolTable
+from mcforge.render import coeff_latex, coeff_text
+
+NAMES = ["X", "x", "eta", "T"]
+TABLE = SymbolTable()
+for _name, _kind in zip(NAMES, [SymbolKind.TARGET, SymbolKind.SOURCE, SymbolKind.JET,
+                                SymbolKind.TARGET]):
+    TABLE.declare(_name, _kind)
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def reference(expr):
+    return sp.cancel(sp.together(expr))
+
+
+def rational(q: Fraction):
+    return sp.Rational(q.numerator, q.denominator)
+
+
+def leaf(draw_name, q):
+    if draw_name is None:
+        return ScalarExpr(q, TABLE), rational(q)
+    return TABLE.expr(draw_name), sp.Symbol(draw_name)
+
+
+LEAVES = st.builds(leaf, st.one_of(st.none(), st.sampled_from(NAMES)), RATIONALS)
+
+
+def check(value: ScalarExpr, ref) -> None:
+    assert value.expr == ref
+    assert coeff_text(value) == sp.sstr(ref, order="lex")
+    assert coeff_latex(value) == sp.latex(ref, order="lex")
+    assert value.is_constant == ref.is_Rational
+    assert value.is_zero == (ref == 0)
+    assert value.free_names == {s.name for s in ref.free_symbols}
+    # the same value built from its sympy form is equal and hashes alike
+    rebuilt = ScalarExpr(ref, TABLE)
+    assert rebuilt == value and hash(rebuilt) == hash(value)
+    assert value == ref
+
+
+def apply(op, a, b, n, name):
+    """One step on (ScalarExpr, reference) pairs; None when the step is undefined."""
+    (u, ru), (v, rv) = a, b
+    if op == "+":
+        return u + v, reference(ru + rv)
+    if op == "-":
+        return u - v, reference(ru - rv)
+    if op == "*":
+        return u * v, reference(ru * rv)
+    if op == "/":
+        return (None if v.is_zero else (u / v, reference(ru / rv)))
+    if op == "**":
+        return (None if n < 0 and u.is_zero else (u ** n, reference(ru ** n)))
+    return u.diff(TABLE.lookup(name)), reference(sp.diff(ru, sp.Symbol(name)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_arithmetic_matches_reference(data):
+    pool = [data.draw(LEAVES) for _ in range(3)]
+    for value, ref in pool:
+        check(value, ref)
+    for _ in range(data.draw(st.integers(1, 5))):
+        step = apply(data.draw(st.sampled_from(["+", "-", "*", "/", "**", "diff"])),
+                     data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool)),
+                     data.draw(st.integers(-2, 2)), data.draw(st.sampled_from(NAMES)))
+        if step is None:
+            continue
+        check(*step)
+        pool.append(step)
+    # equality is exact and structural: a constant never equals a non-constant
+    for (u, ru) in pool:
+        for (v, rv) in pool:
+            assert (u == v) == (reference(ru - rv) == 0)
+            if u == v:
+                assert hash(u) == hash(v)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_substitute_matches_reference(data):
+    value, ref = data.draw(LEAVES)
+    for _ in range(data.draw(st.integers(1, 4))):
+        step = apply(data.draw(st.sampled_from(["+", "*", "/"])), (value, ref),
+                     data.draw(LEAVES), 1, "x")
+        if step is not None:
+            value, ref = step
+    names = data.draw(st.lists(st.sampled_from(NAMES), min_size=1, unique=True))
+    # each name goes to a rational point or, simultaneously, to another symbol
+    targets = [data.draw(st.one_of(RATIONALS, st.sampled_from(NAMES))) for _ in names]
+    mapping = {TABLE.lookup(n): (TABLE.expr(t) if isinstance(t, str) else t)
+               for n, t in zip(names, targets)}
+    want = reference(ref.subs({sp.Symbol(n): (sp.Symbol(t) if isinstance(t, str)
+                                              else rational(t))
+                               for n, t in zip(names, targets)}, simultaneous=True))
+    if want.has(sp.zoo, sp.nan, sp.oo):
+        with pytest.raises(DegeneratePointError):
+            value.substitute(mapping)
+    else:
+        check(value.substitute(mapping), want)
+
+
+def test_symbol_declared_after_the_field_was_built():
+    table = SymbolTable()
+    table.declare("x", SymbolKind.SOURCE)
+    early = table.expr("x") + 1
+    table.declare("a", SymbolKind.SOURCE)  # sorts after x: the field is built anew
+    a = table.expr("a")
+    late = table.expr("x") + 1
+    assert early == late and hash(early) == hash(late)
+    assert str((early * a).diff(table.lookup("x"))) == "a"
+    assert str(early / a - late / a) == "0"
