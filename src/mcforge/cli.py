@@ -57,65 +57,37 @@ def _parse_point(text: str | None, coords: list[str]) -> dict:
     return point
 
 
-def _diffeo_system(dim: int) -> detsys.DeterminingSystem:
-    if dim < 1:
+def _system(args) -> detsys.DeterminingSystem:
+    """The command's determining system: its input's, or for ``diffeo`` one with no equations."""
+    if args.command != "diffeo":
+        return detsys.parse_system(_read_input(args.input))
+    if args.dim < 1:
         raise McforgeError("--dim must be >= 1")
-    coords = ["x", "y", "z"][:dim] if dim <= 3 else [f"z{i+1}" for i in range(dim)]
+    coords = (["x", "y", "z"][:args.dim] if args.dim <= 3
+              else [f"z{i+1}" for i in range(args.dim)])
     return detsys.DeterminingSystem.empty(coords)
 
 
-def _emit(args, text_fn, latex_fn, json_obj_fn) -> None:
-    if args.format == "text":
-        sys.stdout.write(text_fn())
-    elif args.format == "latex":
-        sys.stdout.write(latex_fn())
-    else:
-        sys.stdout.write(render.render_json(json_obj_fn()))
-
-
 def cmd_structure(args) -> int:
-    system = detsys.parse_system(_read_input(args.input))
-    eqs = structure.pseudo_group_structure(system, args.order, cap=args.cap)
-    _emit(args,
-          lambda: render.render_structure_text(eqs),
-          lambda: render.render_structure_latex(eqs),
-          lambda: render.structure_json_obj(eqs))
-    return 0
-
-
-def cmd_diffeo(args) -> int:
-    system = _diffeo_system(args.dim)
-    eqs = structure.pseudo_group_structure(system, args.order, cap=args.cap)
-    _emit(args,
-          lambda: render.render_structure_text(eqs),
-          lambda: render.render_structure_latex(eqs),
-          lambda: render.structure_json_obj(eqs))
+    eqs = structure.pseudo_group_structure(_system(args), args.order, cap=args.cap)
+    sys.stdout.write(render.render_structure(eqs, args.format))
     return 0
 
 
 def cmd_lift(args) -> int:
-    system = detsys.parse_system(_read_input(args.input))
-    solved = detsys.solve_to_order(system, args.order, cap=args.cap)
-    relations = detsys.lift(solved)
-    _emit(args,
-          lambda: render.render_lift_text(relations),
-          lambda: render.render_lift_latex(relations),
-          lambda: render.lift_json_obj(relations))
+    solved = detsys.solve_to_order(_system(args), args.order, cap=args.cap)
+    sys.stdout.write(render.render_lift(detsys.lift(solved), args.format))
     return 0
 
 
 def cmd_prolong(args) -> int:
-    system = detsys.parse_system(_read_input(args.input))
-    prolonged = detsys.prolong(system, args.order)
-    _emit(args,
-          lambda: render.render_prolong_text(prolonged),
-          lambda: render.render_prolong_text(prolonged),
-          lambda: render.prolong_json_obj(prolonged))
+    prolonged = detsys.prolong(_system(args), args.order)
+    sys.stdout.write(render.render_prolong(prolonged, args.format))
     return 0
 
 
 def cmd_check_d2(args) -> int:
-    system = detsys.parse_system(_read_input(args.input))
+    system = _system(args)
     eqs = structure.pseudo_group_structure(system, args.order, cap=args.cap)
     report = structure.check_d_squared(eqs, cap=args.cap)
     if args.format == "json":
@@ -135,7 +107,7 @@ def cmd_check_d2(args) -> int:
 
 
 def cmd_check_duality(args) -> int:
-    system = detsys.parse_system(_read_input(args.input))
+    system = _system(args)
     point = _parse_point(args.point, system.coords)
     eqs = structure.pseudo_group_structure(system, args.order, cap=args.cap)
     basis = jetalg.solution_basis(system, point, args.order + 1, cap=args.cap)
@@ -155,7 +127,7 @@ def cmd_check_duality(args) -> int:
 
 
 def cmd_bracket(args) -> int:
-    system = detsys.parse_system(_read_input(args.input))
+    system = _system(args)
     point = _parse_point(args.point, system.coords)
     basis = jetalg.solution_basis(system, point, args.order, cap=args.cap)
     rows = []
@@ -232,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diffeo", help="diffeomorphism structure equations")
     p.add_argument("--dim", type=int, required=True)
     common(p, needs_input=False)
-    p.set_defaults(func=cmd_diffeo)
+    p.set_defaults(func=cmd_structure)
 
     p = sub.add_parser("lift", help="lifted determining relations")
     common(p)

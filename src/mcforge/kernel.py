@@ -521,10 +521,14 @@ def is_scalar(a: dict) -> bool:
 # Bounds on what one line may ask for, so every input either finishes or is
 # refused with a ParseError: how deep parentheses, unary minus and '^' may
 # nest (each level costs a few interpreter frames), and how large a power's
-# result may be, as total degree or, for a constant, as bits.
+# result may be, as total degree or, for a constant, as bits.  MAX_POWER_BITS
+# also bounds every integer a line holds: each literal, and each numerator,
+# denominator or coefficient that its arithmetic builds.
 MAX_NESTING = 100
 MAX_POWER_DEGREE = 64
 MAX_POWER_BITS = 4096
+# the most decimal digits an integer of at most MAX_POWER_BITS bits can have
+_MAX_DIGITS = len(str(2 ** MAX_POWER_BITS))
 
 _TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()]|\S")
 
@@ -553,6 +557,17 @@ def tokenize(text: str, line_offset: int = 1) -> list[Token]:
                 raise ParseError(f"unexpected character {tok!r}", lineno, col)
     tokens.append(Token("end", "", line_offset, len(text) + 1))
     return tokens
+
+
+def _bits(c: ScalarExpr) -> int:
+    """Bit length of the largest integer in ``c``: of its numerator or
+    denominator when constant, else of any coefficient's."""
+    if c.is_constant:
+        q = c.as_fraction()
+        return max(q.numerator.bit_length(), q.denominator.bit_length())
+    return max(int(part).bit_length()
+               for poly in (c.value.numer, c.value.denom) for q in poly.coeffs()
+               for part in (q.numerator, q.denominator))
 
 
 def split_names(line: str, lineno: int) -> list[str]:
@@ -603,14 +618,20 @@ class ExprParser:
     def check_power(self, c: ScalarExpr, n: int, op: Token) -> None:
         """Refuse c^n at ``op`` when its result would exceed the power bounds."""
         if c.is_constant:
-            q = c.as_fraction()
-            size = abs(n) * max(q.numerator.bit_length(), q.denominator.bit_length())
-            limit, unit = MAX_POWER_BITS, "bits"
+            size, limit, unit = abs(n) * _bits(c), MAX_POWER_BITS, "bits"
         else:
             size, limit, unit = abs(n) * c.degree, MAX_POWER_DEGREE, "degree"
         if size > limit:
             raise ParseError(f"power too large: {unit} {size} exceeds {limit}",
                              op.line, op.col)
+
+    def bounded(self, value: dict, op: Token) -> dict:
+        """``value``, the result of ``op``, unless an integer in it exceeds MAX_POWER_BITS."""
+        for c in value.values():
+            if _bits(c) > MAX_POWER_BITS:
+                raise ParseError(f"integer too large: more than {MAX_POWER_BITS} bits",
+                                 op.line, op.col)
+        return value
 
     def nested(self, tok: Token, parse):
         """``parse()`` one nesting level below ``tok``, within MAX_NESTING."""
@@ -650,6 +671,7 @@ class ExprParser:
             op = self.next()
             rhs = self.parse_term()
             value = graded_add(value, rhs if op.text == "+" else graded_neg(rhs))
+            self.bounded(value, op)
         return value
 
     def parse_term(self):
@@ -667,6 +689,7 @@ class ExprParser:
                 # one division, so the divisor enters the ledger once
                 rhs = {SCALAR: 1 / rhs[SCALAR]}
             value = {k: v * rhs[SCALAR] for k, v in value.items()} if rhs else {}
+            self.bounded(value, op)
         return value
 
     def parse_factor(self):
@@ -685,18 +708,23 @@ class ExprParser:
         else:
             exponent = self.nested(op, self.parse_power)
         if not (is_scalar(base) and is_scalar(exponent)):
-            return self.power(base, exponent, op)
+            return self.bounded(self.power(base, exponent, op), op)
         n = self.exponent(exponent, op)
         c = base[SCALAR] if base else ScalarExpr(0, self.table)
         if n < 0 and not c:
             raise ParseError("division by zero", op.line, op.col)
         self.check_power(c, n, op)
-        return self.scalar(c ** n)
+        return self.bounded(self.scalar(c ** n), op)
 
     def parse_atom(self):
         tok = self.next()
         if tok.kind == "int":
-            return self.scalar(ScalarExpr(int(tok.text), self.table))
+            # int() refuses strings past Python's digit limit, so count first
+            digits = tok.text.lstrip("0") or "0"
+            if len(digits) > _MAX_DIGITS:
+                raise ParseError(f"integer too large: more than {MAX_POWER_BITS} bits",
+                                 tok.line, tok.col)
+            return self.bounded(self.scalar(ScalarExpr(int(digits), self.table)), tok)
         if tok.kind == "name":
             return self.name(tok)
         if tok.text == "(":

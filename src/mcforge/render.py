@@ -1,14 +1,20 @@
-"""Text, LaTeX and JSON emitters with stable, diffable ordering."""
+"""Text, LaTeX and JSON emitters with stable, diffable ordering.
+
+Each report has one writer for every format.  A ``Notation`` says how text or
+LaTeX spells a generator, a coefficient, a wedge and an equation; JSON spells
+every atom as text does.
+"""
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import sympy as sp
 
 from .detsys import DeterminingSystem, LiftedRelations
-from .exterior import McGenerator, OneForm, TwoForm
+from .exterior import McGenerator, _gens
 from .kernel import ScalarExpr
 from .multiindex import render_index
 from .structure import StructureEquationSet
@@ -17,30 +23,6 @@ from .structure import StructureEquationSet
 # ---------------------------------------------------------------------------
 # Atoms
 # ---------------------------------------------------------------------------
-
-
-def gen_text(g: McGenerator, coords: list[str], targets: list[str]) -> str:
-    comp = coords[g.component]
-    if g.index.order == 0:
-        return f"mu^{comp}"
-    sub = render_index(g.index, targets)
-    return f"mu^{comp}_{sub}" if len(sub) == 1 else f"mu^{comp}_{{{sub}}}"
-
-
-def gen_latex(g: McGenerator, coords: list[str], targets: list[str]) -> str:
-    comp = coords[g.component]
-    if g.index.order == 0:
-        return f"\\mu^{comp}" if len(comp) == 1 else f"\\mu^{{{comp}}}"
-    sub = render_index(g.index, targets)
-    head = f"\\mu^{comp}" if len(comp) == 1 else f"\\mu^{{{comp}}}"
-    return f"{head}_{sub}" if len(sub) == 1 else f"{head}_{{{sub}}}"
-
-
-def jet_text(js: McGenerator, sys: DeterminingSystem) -> str:
-    name = sys.fields[js.component]
-    if js.index.order == 0:
-        return name
-    return f"{name}_{render_index(js.index, sys.coords)}"
 
 
 def coeff_text(c: ScalarExpr | Fraction) -> str:
@@ -54,26 +36,58 @@ def coeff_latex(c: ScalarExpr) -> str:
     return sp.latex(c.expr, order="lex")
 
 
-def _with_coeff(c: ScalarExpr, body: str, times: str = " ") -> str:
-    if c == 1:
+class Notation(NamedTuple):
+    mu: str                  # the generators' letter
+    brace_component: bool    # group a component name longer than one letter
+    coeff: Callable
+    parens: tuple[str, str]  # around a coefficient that is a sum
+    times: str               # between a coefficient and its generators
+    wedge: str
+    equals: str
+    eol: str
+    aligned: bool            # one aligned block of equations, with no header
+
+
+TEXT = Notation("mu", False, coeff_text, ("(", ")"), " ", " ^ ", " = ", "", False)
+LATEX = Notation("\\mu", True, coeff_latex, ("\\left(", "\\right)"), "\\,", "\\wedge ",
+                 " &= ", " \\\\", True)
+NOTATIONS = {"text": TEXT, "latex": LATEX}
+
+
+def _braced(s: str) -> str:
+    return s if len(s) == 1 else f"{{{s}}}"
+
+
+def _gen(g: McGenerator, coords: list[str], targets: list[str], notation: Notation) -> str:
+    comp = coords[g.component]
+    head = f"{notation.mu}^{_braced(comp) if notation.brace_component else comp}"
+    if g.index.order == 0:
+        return head
+    return f"{head}_{_braced(render_index(g.index, targets))}"
+
+
+def gen_text(g: McGenerator, coords: list[str], targets: list[str]) -> str:
+    return _gen(g, coords, targets, TEXT)
+
+
+def jet_text(js: McGenerator, sys: DeterminingSystem) -> str:
+    name = sys.fields[js.component]
+    if js.index.order == 0:
+        return name
+    return f"{name}_{render_index(js.index, sys.coords)}"
+
+
+def _with_coeff(c: ScalarExpr, body: str, notation: Notation, times: str) -> str:
+    # c.value, not c, meets 1 and -1: ScalarExpr == int builds a ScalarExpr per test
+    unit = c.value if c.is_constant else None
+    if unit == 1:
         return body
-    if c == -1:
+    if unit == -1:
         return f"-{body}"
-    text = coeff_text(c)
+    text = notation.coeff(c)
     if c.expr.is_Add:
-        text = f"({text})"
+        text = f"{notation.parens[0]}{text}{notation.parens[1]}"
     return f"{text}{times}{body}"
-
-
-def _with_coeff_latex(c: ScalarExpr, body: str) -> str:
-    if c == 1:
-        return body
-    if c == -1:
-        return f"-{body}"
-    text = coeff_latex(c)
-    if c.expr.is_Add:
-        text = f"\\left({text}\\right)"
-    return f"{text}\\,{body}"
 
 
 def _joined(parts: list[str]) -> str:
@@ -85,36 +99,13 @@ def _joined(parts: list[str]) -> str:
     return out
 
 
-def oneform_text(form: OneForm, coords, targets) -> str:
-    return _joined([_with_coeff(c, gen_text(g, coords, targets))
-                    for g, c in form.sorted_terms()])
-
-
-def oneform_latex(form: OneForm, coords, targets) -> str:
-    return _joined([_with_coeff_latex(c, gen_latex(g, coords, targets))
-                    for g, c in form.sorted_terms()])
-
-
-def twoform_text(form: TwoForm, coords, targets) -> str:
+def _form(form, coords, targets, notation: Notation) -> str:
+    """A one- or two-form; each key holds the generators its term wedges together."""
     parts = []
-    for (g, h), c in form.sorted_terms():
-        body = f"{gen_text(g, coords, targets)} ^ {gen_text(h, coords, targets)}"
-        parts.append(_with_coeff(c, body))
+    for key, c in form.sorted_terms():
+        body = notation.wedge.join([_gen(g, coords, targets, notation) for g in _gens(key)])
+        parts.append(_with_coeff(c, body, notation, notation.times))
     return _joined(parts)
-
-
-def twoform_latex(form: TwoForm, coords, targets) -> str:
-    parts = []
-    for (g, h), c in form.sorted_terms():
-        body = f"{gen_latex(g, coords, targets)}\\wedge {gen_latex(h, coords, targets)}"
-        parts.append(_with_coeff_latex(c, body))
-    return _joined(parts)
-
-
-def twoform_json(form: TwoForm, coords, targets) -> list:
-    return [{"pair": [gen_text(g, coords, targets), gen_text(h, coords, targets)],
-             "coeff": coeff_text(c)}
-            for (g, h), c in form.sorted_terms()]
 
 
 # ---------------------------------------------------------------------------
@@ -122,39 +113,42 @@ def twoform_json(form: TwoForm, coords, targets) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _assumption_lines(assumptions) -> list[str]:
-    if not assumptions:
-        return []
-    listed = ", ".join(f"{coeff_text(a)} != 0" for a in assumptions)
-    return [f"assuming: {listed}"]
+def _report(result, title: list[str], label: str, gens, rows, notation: Notation) -> str:
+    """One ``lhs = rhs`` line per row: in LaTeX one aligned block; in text below
+    the title, the assumptions, any stability warning and the listed ``gens``."""
+    lines = [f"{lhs}{notation.equals}{rhs}{notation.eol}" for lhs, rhs in rows]
+    if notation.aligned:
+        return "\n".join(["\\begin{aligned}", *lines, "\\end{aligned}"]) + "\n"
+    sys = result.system
+    header = list(title)
+    if result.assumptions:
+        listed = ", ".join(f"{coeff_text(a)} != 0" for a in result.assumptions)
+        header.append(f"assuming: {listed}")
+    if not result.stable:
+        header.append("warning: solved shape still changing at the prolongation cap")
+    header.append(f"{label}: " + ", ".join(gen_text(g, sys.coords, sys.targets) for g in gens))
+    return "\n".join(header + lines) + "\n"
+
+
+def render_structure(eqs: StructureEquationSet, fmt: str) -> str:
+    if fmt == "json":
+        return render_json(structure_json_obj(eqs))
+    notation, sys = NOTATIONS[fmt], eqs.system
+    rows = [(f"d{_gen(g, sys.coords, sys.targets, notation)}",
+             _form(eqs.equations[g], sys.coords, sys.targets, notation))
+            for g in eqs.basis]
+    title = [f"# structure equations, order {eqs.order}, dim {eqs.dim}",
+             "# order-0 horizontal forms satisfy the same equations "
+             "as the order-0 generators (sigma = -mu on the fiber)"]
+    return _report(eqs, title, "basis", eqs.basis, rows, notation)
 
 
 def render_structure_text(eqs: StructureEquationSet) -> str:
-    sys = eqs.system
-    lines = [f"# structure equations, order {eqs.order}, dim {eqs.dim}"]
-    lines += ["# order-0 horizontal forms satisfy the same equations "
-              "as the order-0 generators (sigma = -mu on the fiber)"]
-    lines += _assumption_lines(eqs.assumptions)
-    if not eqs.stable:
-        lines.append("warning: solved shape still changing at the prolongation cap")
-    lines.append("basis: " + ", ".join(gen_text(g, sys.coords, sys.targets)
-                                       for g in eqs.basis))
-    for g in eqs.basis:
-        lhs = gen_text(g, sys.coords, sys.targets)
-        rhs = twoform_text(eqs.equations[g], sys.coords, sys.targets)
-        lines.append(f"d{lhs} = {rhs}")
-    return "\n".join(lines) + "\n"
+    return render_structure(eqs, "text")
 
 
 def render_structure_latex(eqs: StructureEquationSet) -> str:
-    sys = eqs.system
-    lines = ["\\begin{aligned}"]
-    for g in eqs.basis:
-        lhs = gen_latex(g, sys.coords, sys.targets)
-        rhs = twoform_latex(eqs.equations[g], sys.coords, sys.targets)
-        lines.append(f"d{lhs} &= {rhs} \\\\")
-    lines.append("\\end{aligned}")
-    return "\n".join(lines) + "\n"
+    return render_structure(eqs, "latex")
 
 
 def structure_json_obj(eqs: StructureEquationSet) -> dict:
@@ -166,7 +160,9 @@ def structure_json_obj(eqs: StructureEquationSet) -> dict:
         "assumptions": [coeff_text(a) for a in eqs.assumptions],
         "equations": [
             {"lhs": gen_text(g, sys.coords, sys.targets),
-             "rhs": twoform_json(eqs.equations[g], sys.coords, sys.targets)}
+             "rhs": [{"pair": [gen_text(h, sys.coords, sys.targets) for h in pair],
+                      "coeff": coeff_text(c)}
+                     for pair, c in eqs.equations[g].sorted_terms()]}
             for g in eqs.basis
         ],
         "coefficient_dependence": [
@@ -181,30 +177,19 @@ def render_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def render_lift(rel: LiftedRelations, fmt: str) -> str:
+    if fmt == "json":
+        return render_json(lift_json_obj(rel))
+    notation, sys = NOTATIONS[fmt], rel.system
+    rows = [(_gen(g, sys.coords, sys.targets, notation),
+             _form(rel.solved[g], sys.coords, sys.targets, notation))
+            for g in sorted(rel.solved, key=McGenerator.sort_key)]
+    title = [f"# lifted determining relations, order {rel.order}"]
+    return _report(rel, title, "parametric", rel.parametric, rows, notation)
+
+
 def render_lift_text(rel: LiftedRelations) -> str:
-    sys = rel.system
-    lines = [f"# lifted determining relations, order {rel.order}"]
-    lines += _assumption_lines(rel.assumptions)
-    if not rel.stable:
-        lines.append("warning: solved shape still changing at the prolongation cap")
-    lines.append("parametric: " + ", ".join(
-        gen_text(g, sys.coords, sys.targets) for g in rel.parametric))
-    for g in sorted(rel.solved, key=McGenerator.sort_key):
-        lhs = gen_text(g, sys.coords, sys.targets)
-        rhs = oneform_text(rel.solved[g], sys.coords, sys.targets)
-        lines.append(f"{lhs} = {rhs}")
-    return "\n".join(lines) + "\n"
-
-
-def render_lift_latex(rel: LiftedRelations) -> str:
-    sys = rel.system
-    lines = ["\\begin{aligned}"]
-    for g in sorted(rel.solved, key=McGenerator.sort_key):
-        lhs = gen_latex(g, sys.coords, sys.targets)
-        rhs = oneform_latex(rel.solved[g], sys.coords, sys.targets)
-        lines.append(f"{lhs} &= {rhs} \\\\")
-    lines.append("\\end{aligned}")
-    return "\n".join(lines) + "\n"
+    return render_lift(rel, "text")
 
 
 def lift_json_obj(rel: LiftedRelations) -> dict:
@@ -223,21 +208,25 @@ def lift_json_obj(rel: LiftedRelations) -> dict:
     }
 
 
-def render_prolong_text(sys: DeterminingSystem) -> str:
+def _sorted_jets(eq):
+    return sorted(eq.terms.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
+
+
+def render_prolong(sys: DeterminingSystem, fmt: str) -> str:
+    """The prolonged system; it has no LaTeX form, so ``latex`` prints its text."""
+    if fmt == "json":
+        return render_json(prolong_json_obj(sys))
     lines = [f"# prolonged system, order {sys.order}, {len(sys.equations)} equations"]
     for eq in sys.equations:
-        terms = sorted(eq.terms.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
-        body = _joined([_with_coeff(c, jet_text(js, sys), times="*")
-                        for js, c in terms])
+        body = _joined([_with_coeff(c, jet_text(js, sys), TEXT, "*")
+                        for js, c in _sorted_jets(eq)])
         lines.append(f"{body} = 0")
     return "\n".join(lines) + "\n"
 
 
 def prolong_json_obj(sys: DeterminingSystem) -> dict:
-    equations = []
-    for eq in sys.equations:
-        terms = sorted(eq.terms.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
-        equations.append([{"jet": jet_text(js, sys), "coeff": coeff_text(c)}
-                          for js, c in terms])
+    equations = [[{"jet": jet_text(js, sys), "coeff": coeff_text(c)}
+                  for js, c in _sorted_jets(eq)]
+                 for eq in sys.equations]
     return {"coords": sys.coords, "fields": sys.fields,
             "order": sys.order, "equations": equations}

@@ -67,7 +67,7 @@ def pseudo_group_structure(sys: DeterminingSystem, n: int,
     if n < 0:
         raise InvalidOrderError("order must be >= 0")
     working = n + 1
-    solved = solve_to_order(sys, working, cap=cap if cap is not None else n + 3)
+    solved = solve_to_order(sys, working, cap=cap)
     relations = lift(solved)
     basis = [g for g in relations.parametric if g.index.order <= n]
 
@@ -107,21 +107,21 @@ class D2Report:
         return [g for g, r in self.residues.items() if not r.is_zero]
 
 
-def d_squared_residues(eqs: StructureEquationSet,
-                       generators: list[McGenerator]) -> dict[McGenerator, ThreeForm]:
-    """d(d g) for each generator, using eqs as the rule set (must be closed)."""
-    out = {}
-    for g in generators:
-        out[g] = d_apply_two(eqs.equations[g], eqs.equations, eqs.relations)
-    return out
+def d_squared_residues(eqs: StructureEquationSet, generators: list[McGenerator],
+                       rules: StructureEquationSet | None = None
+                       ) -> dict[McGenerator, ThreeForm]:
+    """d(d g) for each generator: d of eqs' equation for g, with ``rules`` (eqs
+    itself when omitted) giving d of each generator on its right-hand side."""
+    rules = eqs if rules is None else rules
+    return {g: d_apply_two(eqs.equations[g], rules.equations, rules.relations)
+            for g in generators}
 
 
 def check_d_squared(eqs: StructureEquationSet, cap: int | None = None) -> D2Report:
-    """Verify d(d g) = 0 for every basis generator of eqs.
+    """Verify d(d g) = 0 for the equation eqs gives each basis generator g.
 
-    The rule set is extended internally by one order so that every generator
-    on a right-hand side has its own structure equation.
+    The structure equations one order higher, built here, give d of every
+    generator on a right-hand side.
     """
     closed = pseudo_group_structure(eqs.system, eqs.order + 1, cap=cap)
-    residues = d_squared_residues(closed, eqs.basis)
-    return D2Report(eqs.order, residues)
+    return D2Report(eqs.order, d_squared_residues(eqs, eqs.basis, closed))

@@ -394,7 +394,7 @@ def test_input_divisors_listed_in_parse_order(tmp_path, capsys, equation, expect
 
 
 # ---------------------------------------------------------------------------
-# Input bounds: nesting depth and the size of a power
+# Input bounds: nesting depth, the size of a power and of an integer
 # ---------------------------------------------------------------------------
 
 
@@ -403,6 +403,8 @@ def test_input_divisors_listed_in_parse_order(tmp_path, capsys, equation, expect
     ("-" * 10000 + "x", "nested deeper than 100 levels"),
     ("2^3^3^3", "power too large"),
     ("(x + 1)^400", "power too large"),
+    ("9" * 5000, "integer too large"),              # past Python's int/str digit limit
+    ("*".join(["7" * 1000] * 5), "integer too large"),
 ])
 def test_input_bounds_exit_2_in_both_grammars(tmp_path, capsys, expression, message):
     dsys = tmp_path / "bound.dsys"

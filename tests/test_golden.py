@@ -21,8 +21,18 @@ CASES = [
      ["structure", "@cartan_essential.dsys", "--order", "3", "--format", "json"]),
     ("lift_translation_o3.txt",
      ["lift", "@intransitive_translation.dsys", "--order", "3"]),
+    ("lift_essential_o2.tex",
+     ["lift", "@cartan_essential.dsys", "--order", "2", "--format", "latex"]),
+    ("lift_essential_o2.json",
+     ["lift", "@cartan_essential.dsys", "--order", "2", "--format", "json"]),
     ("prolong_essential_o2.txt",
      ["prolong", "@cartan_essential.dsys", "--order", "2"]),
+    ("prolong_essential_o2.json",
+     ["prolong", "@cartan_essential.dsys", "--order", "2", "--format", "json"]),
+    # components z1..z4 are the only ones LaTeX writes as \mu^{z1}
+    ("diffeo_d4_o1.txt", ["diffeo", "--dim", "4", "--order", "1"]),
+    ("diffeo_d4_o1.tex", ["diffeo", "--dim", "4", "--order", "1", "--format", "latex"]),
+    ("diffeo_d4_o1.json", ["diffeo", "--dim", "4", "--order", "1", "--format", "json"]),
     ("structure_janet_o4_cap7.txt",
      ["structure", "{janet}", "--order", "4", "--cap", "7"]),
     ("bracket_essential_o2_point.txt",

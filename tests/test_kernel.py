@@ -169,6 +169,20 @@ def test_power_bounds(table):
             parse_expr(text, table)
 
 
+def test_integer_size_bounds(table):
+    x = table.expr("x")
+    at_limit = 2 ** kernel.MAX_POWER_BITS - 1
+    assert parse_expr(str(at_limit), table) == at_limit
+    assert parse_expr("0" * 5000 + "3", table) == 3
+    assert parse_expr(f"x/{at_limit}", table) == x / at_limit
+    big = "7" * 1000  # 3 320 bits
+    for text in (str(at_limit + 1), "9" * 5000, "*".join([big] * 5), f"{big}*{big}",
+                 f"1/{big}/{big}", f"({big}*x + 1)^2", f"x/{big} + 1/({big} + 1)",
+                 " + ".join(f"1/({big} + {i})" for i in range(6))):
+        with pytest.raises(ParseError, match="integer too large"):
+            parse_expr(text, table)
+
+
 def test_parse_errors(table):
     with pytest.raises(ParseError):
         parse_expr("x +", table)

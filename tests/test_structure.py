@@ -221,3 +221,17 @@ def test_d_squared_detects_corruption():
     assert d_squared_residues(eqs, [g])[g].is_zero
     eqs.equations[g] = TwoForm({(mu_n(0), mu_n(3)): ScalarExpr(-1)})
     assert not d_squared_residues(eqs, [g])[g].is_zero
+
+
+def test_check_d_squared_reads_the_given_equations():
+    # negate one coefficient of one order-2 equation of the diffeo m = 2 set
+    eqs = pseudo_group_structure(DeterminingSystem.empty(["x", "y"]), 2)
+    assert check_d_squared(eqs).ok
+    g = eqs.basis[-1]
+    terms = dict(eqs.equations[g].terms)
+    key = next(iter(terms))
+    terms[key] = -terms[key]
+    eqs.equations[g] = TwoForm(terms)
+    report = check_d_squared(eqs)
+    assert not report.ok
+    assert report.failures() == [g]
