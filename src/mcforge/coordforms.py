@@ -194,6 +194,7 @@ def parse_coframe(text: str) -> CoframeSession:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        lead = len(raw) - len(raw.lstrip())  # columns before ``line`` in the raw line
         if line.startswith("symbols:"):
             for name in split_names(line, lineno):
                 if name in symbols:
@@ -204,21 +205,23 @@ def parse_coframe(text: str) -> CoframeSession:
             body = line[5:]
             if "=" not in body:
                 raise ParseError("expected 'form <name> = <expr>'", lineno, 1)
-            name, rhs = (part.strip() for part in body.split("=", 1))
+            name, rhs = body.split("=", 1)
+            name = name.strip()
             if name in forms or name in symbols:
                 raise ParseError(f"form name {name!r} already in use", lineno, 1)
-            value = _FormParser(table).parse(rhs, lineno)
+            value = _FormParser(table).parse(rhs, lineno, lead + len(line) - len(rhs) + 1)
             if not value or SCALAR in value:
                 raise ParseError("a form line must define a one-form", lineno, 1)
             forms[name] = CoordOneForm(value)
         elif line.startswith("d") and "=" in line:
-            lhs, rhs = (part.strip() for part in line.split("=", 1))
-            name = lhs[1:]
+            lhs, rhs = line.split("=", 1)
+            name = lhs.strip()[1:]
             if name not in forms:
                 raise ParseError(f"claim for undefined form {name!r}", lineno, 1)
             if name in claims:
                 raise ParseError(f"second claim for d{name}", lineno, 1)
-            value = _ClaimParser(table, forms).parse(rhs, lineno)
+            value = _ClaimParser(table, forms).parse(rhs, lineno,
+                                                     lead + len(line) - len(rhs) + 1)
             if not all(isinstance(k, tuple) and len(k) == 2 for k in value):
                 raise ParseError("a claim must be a two-form (or 0)", lineno, 1)
             claims[name] = [(c, a, b) for (a, b), c in value.items()]

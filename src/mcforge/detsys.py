@@ -11,7 +11,8 @@ become the linear relations among the restricted forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain, count, islice
+from typing import Iterator, Optional
 
 from .exterior import McGenerator, OneForm
 from .kernel import (
@@ -175,7 +176,7 @@ def parse_system(text: str) -> DeterminingSystem:
     """Parse the determining-system DSL into a DeterminingSystem."""
     headers: dict[str, list[str]] = {"coords": [], "targets": [], "fields": []}
     header_lines: dict[str, int] = {}
-    raw_equations: list[tuple[str, int]] = []
+    raw_equations: list[tuple[str, int, int]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -187,7 +188,8 @@ def parse_system(text: str) -> DeterminingSystem:
                 raise ParseError(f"second '{head}:' line", lineno, 1)
             headers[head], header_lines[head] = split_names(line, lineno), lineno
         elif line.startswith("eq:"):
-            raw_equations.append((line[3:].strip(), lineno))
+            # the equation and the column it starts at in the raw line
+            raw_equations.append((line[3:], lineno, len(raw) - len(raw.lstrip()) + 4))
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno, 1)
 
@@ -220,10 +222,12 @@ def parse_system(text: str) -> DeterminingSystem:
 
     parser = _EquationParser(table, coords, fields)
     equations = []
-    for text_eq, lineno in raw_equations:
+    for text_eq, lineno, column in raw_equations:
         if text_eq.count("=") != 1:
             raise ParseError("an equation needs exactly one '='", lineno, 1)
-        lhs, rhs = (parser.parse(side, lineno) for side in text_eq.split("="))
+        lhs_text, rhs_text = text_eq.split("=")
+        lhs = parser.parse(lhs_text, lineno, column)
+        rhs = parser.parse(rhs_text, lineno, column + len(lhs_text) + 1)
         diff = graded_add(lhs, graded_neg(rhs))
         if SCALAR in diff:
             raise ParseError(
@@ -251,72 +255,51 @@ def total_derivative(eq: LinearPdeEquation, a: int,
     return LinearPdeEquation(terms)
 
 
-class _Closure:
-    """The derivative closure of a system up to a jet-order bound.
+def _prolongations(sys: DeterminingSystem) -> Iterator[list[LinearPdeEquation]]:
+    """The rows of jet order 0, 1, 2, ...: every D^A E of that order, one per normal key.
 
-    Equations are deduplicated by normal key and closed under total
-    derivatives of order <= ``bound``; derivatives of order ``bound + 1`` are
-    kept in ``pending``, grouped by the equation they came from, so the bound
-    can be raised one order at a time.  A total derivative raises the order by
-    exactly one, so raising the bound from k to k + 1 admits the same
-    equations, with the same representatives, as closing from scratch at
-    k + 1: the depth-first traversal at k + 1 is the traversal at k with the
-    order-(k+1) derivatives visited right after their parents.
+    Each front entry is a D^A E with the last coordinate it was differentiated
+    by, and is differentiated only by that coordinate and later ones, so each
+    multi-index A is taken once.  The front keeps every row: a row dropped
+    from the output as a multiple of another still has derivatives of its own.
+    Rows are sorted by pivot; rows sharing one are ordered by the text of
+    their normal key, and of those sharing a key the one kept has a constant
+    pivot coefficient or else the first pivot coefficient by text.
     """
+    front: list[tuple[LinearPdeEquation, int]] = []
+    for k in count():
+        front = [(total_derivative(eq, a, sys), a)
+                 for eq, last in front for a in range(last, sys.dim)]
+        front += [(eq, 0) for eq in sys.equations if eq.order == k]
+        by_pivot: dict[McGenerator, list[LinearPdeEquation]] = {}
+        for eq, _ in front:
+            by_pivot.setdefault(eq.pivot(), []).append(eq)
+        rows = []
+        for pivot in sorted(by_pivot, key=McGenerator.sort_key):
+            group = by_pivot[pivot]
+            if len(group) == 1:
+                rows += group
+                continue
+            kept: dict[tuple, tuple] = {}
+            for eq in group:
+                c = eq.terms[pivot]
+                rank, key = (not c.is_constant, str(c.expr)), eq.normal_key()
+                if key not in kept or rank < kept[key][0]:
+                    kept[key] = (rank, eq)
+            rows += [kept[key][1] for key in sorted(kept, key=_key_text)]
+        yield rows
 
-    def __init__(self, sys: DeterminingSystem, bound: int):
-        self.sys = sys
-        self.bound = bound
-        self.seen: set[tuple] = set()  # normal keys
-        self.pending: list[list[LinearPdeEquation]] = []
-        self.rows = self._admit([sys.equations])
 
-    def raise_bound(self) -> list[LinearPdeEquation]:
-        """Raise the bound by one; returns the new equations in row order."""
-        groups, self.pending = self.pending, []
-        self.bound += 1
-        new = self._admit(groups)
-        self.rows += new
-        return new
-
-    def _admit(self, groups) -> list[LinearPdeEquation]:
-        new: list[tuple[tuple, LinearPdeEquation]] = []
-        queue: list[LinearPdeEquation] = []
-
-        def push(eqs):
-            for eq in eqs:
-                key = eq.normal_key()
-                if key not in self.seen:
-                    self.seen.add(key)
-                    queue.append(eq)
-                    new.append((key, eq))
-
-        for group in groups:
-            push(group)
-            while queue:
-                eq = queue.pop()
-                derived = [total_derivative(eq, a, self.sys) for a in range(self.sys.dim)]
-                if eq.order < self.bound:
-                    push(derived)
-                else:
-                    self.pending.append(derived)
-        # after a raise every new row has the new bound as its order, so the
-        # new rows sort after every earlier row
-        new.sort(key=lambda item: (item[1].pivot().sort_key(), _key_text(item[0])))
-        return [eq for _, eq in new]
-
-    def system(self) -> DeterminingSystem:
-        sys = self.sys
-        return DeterminingSystem(sys.table, sys.coords, sys.targets, sys.fields,
-                                 list(self.rows))
+def _with_equations(sys: DeterminingSystem, rows) -> DeterminingSystem:
+    return DeterminingSystem(sys.table, sys.coords, sys.targets, sys.fields, list(rows))
 
 
 def prolong(sys: DeterminingSystem, n: int) -> DeterminingSystem:
-    """Close the system under total derivatives up to jet order n."""
+    """The system prolonged to jet order n: every D^A E of order <= n, one per normal key."""
     if n < sys.order:
         raise InvalidOrderError(
             f"prolongation order {n} below system order {sys.order}")
-    return _Closure(sys, n).system()
+    return _with_equations(sys, chain.from_iterable(islice(_prolongations(sys), n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +317,6 @@ class SolvedSourceRelations:
     parametric: list[McGenerator]
     assumptions: list[ScalarExpr]
     stable: bool = True
-
-    def restricted(self, order: int) -> "SolvedSourceRelations":
-        solved = {p: rhs for p, rhs in self.solved.items() if p.index.order <= order}
-        parametric = [j for j in self.parametric if j.index.order <= order]
-        return SolvedSourceRelations(self.system, order, solved, parametric,
-                                     list(self.assumptions), self.stable)
 
     def shape_key(self):
         return frozenset(
@@ -389,30 +366,31 @@ def solve_to_order(sys: DeterminingSystem, order: int,
     new low-order relations when the system is prolonged further; if the
     shape is still changing at the cap the result is flagged unstable.
 
-    Each step derives only the equations of the new order and feeds only their
-    rows to the forward elimination kept from the step before; only pivots of
-    order <= ``order`` are back-substituted.  The result equals prolonging and
-    reducing from scratch at every order, genericity ledger included.
+    Each step feeds only the rows of the new order to the forward elimination
+    kept from the step before; only pivots of order <= ``order`` are
+    back-substituted.  The result equals prolonging and reducing from scratch
+    at every order, genericity ledger included.
     """
     start = max(order, sys.order)
     cap = max(cap if cap is not None else order + 2, start + 1)
-    closure = _Closure(sys, start)
     forward: dict = {}
-    new_rows = closure.rows
+    rows: list[LinearPdeEquation] = []
     prev_shape = None
-    while True:
-        eliminate_forward(forward, (eq.terms for eq in new_rows), McGenerator.sort_key)
+    for k, batch in enumerate(_prolongations(sys)):
+        rows += batch
+        eliminate_forward(forward, (eq.terms for eq in batch), McGenerator.sort_key)
+        if k < start:
+            continue
         solved = back_substitute(forward, McGenerator.sort_key,
                                  [p for p in forward if p.index.order <= order])
-        sol = SolvedSourceRelations(closure.system(), order, solved,
+        sol = SolvedSourceRelations(_with_equations(sys, rows), order, solved,
                                     _parametric(sys.dim, order, forward),
                                     list(sys.table.assumed_nonzero))
         shape = sol.shape_key()
-        if shape == prev_shape or closure.bound == cap:
+        if shape == prev_shape or k == cap:
             sol.stable = shape == prev_shape
             return sol
         prev_shape = shape
-        new_rows = closure.raise_bound()
 
 
 # ---------------------------------------------------------------------------

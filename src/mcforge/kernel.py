@@ -541,12 +541,13 @@ class Token:
     col: int
 
 
-def tokenize(text: str, line_offset: int = 1) -> list[Token]:
+def tokenize(text: str, line_offset: int = 1, column: int = 1) -> list[Token]:
+    """``text``'s tokens; ``column`` is the column ``text`` starts at in its line."""
     tokens = []
     for lineno, line in enumerate(text.splitlines() or [""], start=line_offset):
         for match in _TOKEN_RE.finditer(line):
             tok = match.group(0)
-            col = match.start() + 1
+            col = match.start() + column
             if tok.isdigit():
                 tokens.append(Token("int", tok, lineno, col))
             elif _NAME_RE.match(tok):
@@ -555,19 +556,24 @@ def tokenize(text: str, line_offset: int = 1) -> list[Token]:
                 tokens.append(Token("op", tok, lineno, col))
             else:
                 raise ParseError(f"unexpected character {tok!r}", lineno, col)
-    tokens.append(Token("end", "", line_offset, len(text) + 1))
+    tokens.append(Token("end", "", line_offset, len(text) + column))
     return tokens
 
 
+def integers(c: ScalarExpr | Fraction) -> list[int]:
+    """The integers that spell ``c``: its numerator and denominator when
+    constant, else those of every coefficient."""
+    if isinstance(c, ScalarExpr):
+        if not c.is_constant:
+            return [int(part) for poly in (c.value.numer, c.value.denom)
+                    for q in poly.coeffs() for part in (q.numerator, q.denominator)]
+        c = c.as_fraction()
+    return [c.numerator, c.denominator]
+
+
 def _bits(c: ScalarExpr) -> int:
-    """Bit length of the largest integer in ``c``: of its numerator or
-    denominator when constant, else of any coefficient's."""
-    if c.is_constant:
-        q = c.as_fraction()
-        return max(q.numerator.bit_length(), q.denominator.bit_length())
-    return max(int(part).bit_length()
-               for poly in (c.value.numer, c.value.denom) for q in poly.coeffs()
-               for part in (q.numerator, q.denominator))
+    """Bit length of the largest integer in ``c``."""
+    return max(i.bit_length() for i in integers(c))
 
 
 def split_names(line: str, lineno: int) -> list[str]:
@@ -646,8 +652,8 @@ class ExprParser:
     def scalar(self, c: ScalarExpr) -> dict:
         return {SCALAR: c} if c else {}
 
-    def parse(self, text: str, line_offset: int = 1) -> dict:
-        self.tokens, self.pos, self.depth = tokenize(text, line_offset), 0, 0
+    def parse(self, text: str, line_offset: int = 1, column: int = 1) -> dict:
+        self.tokens, self.pos, self.depth = tokenize(text, line_offset, column), 0, 0
         value = self.parse_sum()
         self.expect_end()
         return value

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from sys import get_int_max_str_digits
 from typing import Callable, NamedTuple
 
 import sympy as sp
 
 from .detsys import DeterminingSystem, LiftedRelations
 from .exterior import McGenerator, _gens
-from .kernel import ScalarExpr
+from .kernel import McforgeError, ScalarExpr, integers
 from .multiindex import render_index
 from .structure import StructureEquationSet
 
@@ -25,7 +26,18 @@ from .structure import StructureEquationSet
 # ---------------------------------------------------------------------------
 
 
+def _check_printable(c: ScalarExpr | Fraction) -> None:
+    """Refuse ``c`` if an integer in it has more digits than Python converts to text."""
+    limit = get_int_max_str_digits()
+    big = max(map(abs, integers(c)))
+    # an integer of more than ``limit`` digits has more than 3 * limit bits
+    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+        raise McforgeError(f"coefficient too large to print: an integer of "
+                           f"{big.bit_length()} bits, more than {limit} digits")
+
+
 def coeff_text(c: ScalarExpr | Fraction) -> str:
+    _check_printable(c)
     # str(Fraction) spells p/q exactly as sympy prints the equal Rational
     if isinstance(c, Fraction):
         return str(c)
@@ -33,6 +45,7 @@ def coeff_text(c: ScalarExpr | Fraction) -> str:
 
 
 def coeff_latex(c: ScalarExpr) -> str:
+    _check_printable(c)
     return sp.latex(c.expr, order="lex")
 
 

@@ -31,15 +31,17 @@ def bench_run(monkeypatch):
 def test_traced_rational_solve_job(bench_run):
     from tracing import Tracer
 
-    tracer = Tracer()
-    loop = bench_run.Loop("rational-solve", 1, tracer)
-    traced_s = loop.run_job(1, traced=True)
-    untraced_s = loop.run_job(2, traced=False)
-    assert loop.failed == 0
-    metrics = bench_run.trace_metrics(tracer, [1], [traced_s], [untraced_s],
-                                      loop.source.points.redraws)
-    # sympy's cancel now runs only for genericity-ledger entries: 5 calls in
-    # this job, where cancelling every ScalarExpr took 8 839
-    assert metrics["kernel.cancel_calls"][0] < 100
-    # every division and non-constant pivot still reaches the ledger
-    assert metrics["kernel.assumptions"][0] == 70
+    for seed in (1, 2):
+        tracer = Tracer()
+        loop = bench_run.Loop("rational-solve", seed, tracer)
+        traced_s = loop.run_job(1, traced=True)
+        untraced_s = loop.run_job(2, traced=False)
+        assert loop.failed == 0
+        metrics = bench_run.trace_metrics(tracer, [1], [traced_s], [untraced_s],
+                                          loop.source.points.redraws)
+        # sympy's cancel now runs only for genericity-ledger entries: 5 calls in
+        # this job, where cancelling every ScalarExpr took 8 839
+        assert metrics["kernel.cancel_calls"][0] < 100
+        # every division and non-constant pivot still reaches the ledger, and
+        # the count does not depend on how the seed orders the equation lines
+        assert metrics["kernel.assumptions"][0] == 65

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -377,7 +379,7 @@ def test_wedge_of_form_with_scalar_part_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "verify-coframe", path)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "(line 5, column 11)" in err
+    assert err.startswith("error: ") and "(line 5, column 17)" in err
 
 
 @pytest.mark.parametrize("equation, expected", [
@@ -396,6 +398,22 @@ def test_input_divisors_listed_in_parse_order(tmp_path, capsys, equation, expect
 # ---------------------------------------------------------------------------
 # Input bounds: nesting depth, the size of a power and of an integer
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, text, column", [
+    ("lhs.dsys", "coords: x\nfields: xi\neq: 2^3^3^3*xi_x = xi\n", 6),
+    ("rhs.dsys", "coords: x\nfields: xi\neq: xi_x = 2^3^3^3*xi\n", 13),
+    ("form.coframe", "symbols: x, y\nform w1 = dx\nform w2 = dx + 2^3^3^3*dy\n", 17),
+])
+def test_parse_error_columns_count_from_the_start_of_the_line(tmp_path, capsys, name,
+                                                              text, column):
+    path = tmp_path / name
+    path.write_text(text)
+    argv = (("verify-coframe", str(path)) if name.endswith(".coframe")
+            else ("structure", str(path), "--order", "1"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: power too large") and f"(line 3, column {column})" in err
 
 
 @pytest.mark.parametrize("expression, message", [
@@ -417,3 +435,49 @@ def test_input_bounds_exit_2_in_both_grammars(tmp_path, capsys, expression, mess
         assert out == ""
         assert err.startswith("error: ") and message in err and "(line 3, column " in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("lines", [
+    ["eq: x*y*eta_yy = 0", "eq: y*(x*y*eta_yy) = 0"],
+    ["eq: y*(x*y*eta_yy) = 0", "eq: x*y*eta_yy = 0"],
+])
+def test_lift_ledger_does_not_depend_on_equation_order(tmp_path, capsys, lines):
+    path = tmp_path / "multiple.dsys"
+    path.write_text("\n".join(["coords: x, y", "fields: xi, eta", *lines]) + "\n")
+    code, out, _ = run(capsys, "lift", str(path), "--order", "2")
+    assert code == 0
+    assert "\nassuming: X*Y != 0\n" in out
+
+
+def test_prolong_does_not_depend_on_equation_order(tmp_path, capsys):
+    code, expected, _ = run(capsys, "prolong", "@intransitive_translation.dsys", "--order", "3")
+    assert code == 0
+    lines = bundled("intransitive_translation.dsys").splitlines()
+    head = [line for line in lines if not line.startswith("eq:")]
+    equations = [line for line in lines if line.startswith("eq:")]
+    path = tmp_path / "reordered.dsys"
+    for reordered in itertools.permutations(equations):
+        path.write_text("\n".join(head + list(reordered)) + "\n")
+        assert run(capsys, "prolong", str(path), "--order", "3") == (0, expected, "")
+
+
+@pytest.fixture(scope="module")
+def unprintable_input(tmp_path_factory):
+    """Four dense order-0 equations with 1200-digit coefficients, inside the
+    parser's integer bound; eliminating them yields integers of ~16 000 bits."""
+    rng = random.Random(5)
+    lines = ["coords: x, y, z, u, v", "fields: a, b, c, d, e"]
+    for _ in range(4):
+        terms = [f"{rng.randrange(10**1199, 10**1200)}*{f}" for f in "abcde"]
+        lines.append(f"eq: {' + '.join(terms)} = 0")
+    path = tmp_path_factory.mktemp("unprintable") / "big.dsys"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+def test_unprintable_coefficient_exit_2(capsys, unprintable_input, fmt):
+    code, out, err = run(capsys, "lift", unprintable_input, "--order", "0", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: coefficient too large to print") and "bits" in err
+    assert err.count("\n") == 1

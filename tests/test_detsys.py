@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mcforge.detsys import (
     DeterminingSystem,
     NonlinearInputError,
+    SolvedSourceRelations,
     lift,
     parse_system,
     prolong,
@@ -251,13 +252,21 @@ def test_lift_preserves_triangular_shape(essential_system):
 # ---------------------------------------------------------------------------
 
 
+def restricted(sol, order):
+    """``sol`` with only the relations and parametric jets of order <= ``order``."""
+    solved = {p: rhs for p, rhs in sol.solved.items() if p.index.order <= order}
+    parametric = [j for j in sol.parametric if j.index.order <= order]
+    return SolvedSourceRelations(sol.system, order, solved, parametric,
+                                 list(sol.assumptions), sol.stable)
+
+
 def solve_from_scratch(sys, order, cap=None):
     """The reference loop: prolong and reduce anew at every order up to the cap."""
     start = max(order, sys.order)
     cap = max(cap if cap is not None else order + 2, start + 1)
     prev_shape = None
     for k in range(start, cap + 1):
-        sol = reduce_system(prolong(sys, k), order=k).restricted(order)
+        sol = restricted(reduce_system(prolong(sys, k), order=k), order)
         shape = sol.shape_key()
         if shape == prev_shape:
             sol.stable = True
@@ -313,6 +322,39 @@ def small_linear_systems(draw):
        cap_step=st.sampled_from([None, 1]))
 def test_solve_to_order_equals_from_scratch_on_small_systems(text, order, cap_step):
     assert_same_solution(text, order, None if cap_step is None else order + cap_step)
+
+
+@st.composite
+def reordered_systems(draw):
+    """A small system, sometimes with a non-constant multiple of one of its
+    equations added, and the same system with its equation lines shuffled."""
+    lines = draw(small_linear_systems()).splitlines()
+    head, eqs = lines[:2], lines[2:]
+    if draw(st.booleans()):
+        lhs = draw(st.sampled_from(eqs))[len("eq:"):].partition("=")[0].strip()
+        factor = draw(st.sampled_from(["x", "x*y", "(x + 1)/y"]))
+        eqs.append(f"eq: ({factor})*({lhs}) = 0")
+    shuffled = draw(st.permutations(eqs))
+    return ["\n".join(head + list(e)) + "\n" for e in (eqs, shuffled)]
+
+
+def _exprs(terms):
+    return {j: c.expr for j, c in terms.items()}
+
+
+@settings(max_examples=15, deadline=None)
+@given(texts=reordered_systems(), order=st.integers(1, 2))
+def test_results_do_not_depend_on_the_order_of_equations(texts, order):
+    a_sys, b_sys = (parse_system(t) for t in texts)
+    a_rows, b_rows = ([_exprs(eq.terms) for eq in prolong(s, max(order, s.order)).equations]
+                      for s in (a_sys, b_sys))
+    assert a_rows == b_rows
+    a, b = solve_to_order(a_sys, order), solve_to_order(b_sys, order)
+    assert ([(p, _exprs(rhs)) for p, rhs in a.solved.items()]
+            == [(p, _exprs(rhs)) for p, rhs in b.solved.items()])
+    assert (a.parametric, a.stable) == (b.parametric, b.stable)
+    # the ledger lists parse-time divisors in line order, so compare it as a set
+    assert {c.expr for c in a.assumptions} == {c.expr for c in b.assumptions}
 
 
 def test_two_equation_rational_system_keeps_its_answer():
