@@ -28,11 +28,13 @@ def _diag(message: str) -> str:
 
 def _read_input(path: str) -> str:
     if path.startswith("@"):
-        # bundled example inputs, e.g. @cartan_essential.dsys
-        ref = resources.files("mcforge").joinpath("data", path[1:])
-        if not ref.is_file():
+        # bundled example inputs, e.g. @cartan_essential.dsys: only the names
+        # of files directly in mcforge/data, so no name reaches another file
+        data = resources.files("mcforge").joinpath("data")
+        bundled = {ref.name: ref for ref in data.iterdir() if ref.is_file()}
+        if path[1:] not in bundled:
             raise McforgeError(f"no bundled input named {path[1:]!r}")
-        return ref.read_text()
+        return bundled[path[1:]].read_text()
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
@@ -40,16 +42,20 @@ def _read_input(path: str) -> str:
         raise McforgeError(f"cannot read {path!r}: {exc}") from exc
 
 
-def _parse_point(text: str | None, coords: list[str]) -> dict:
-    point = {c: Fraction(1) for c in coords}
+def _parse_point(text: str | None, system: detsys.DeterminingSystem) -> dict:
+    point = jetalg.default_point(system)
     if not text:
         return point
+    given = set()
     for item in text.split(","):
         if "=" not in item:
             raise McforgeError(f"bad --point entry {item!r} (expected name=value)")
         name, value = (part.strip() for part in item.split("=", 1))
-        if name not in coords:
+        if name not in point:
             raise McforgeError(f"unknown coordinate {name!r} in --point")
+        if name in given:
+            raise McforgeError(f"coordinate {name!r} given twice in --point")
+        given.add(name)
         try:
             point[name] = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -108,7 +114,7 @@ def cmd_check_d2(args) -> int:
 
 def cmd_check_duality(args) -> int:
     system = _system(args)
-    point = _parse_point(args.point, system.coords)
+    point = _parse_point(args.point, system)
     eqs = structure.pseudo_group_structure(system, args.order, cap=args.cap)
     basis = jetalg.solution_basis(system, point, args.order + 1, cap=args.cap)
     if len(basis) < 2:
@@ -128,32 +134,30 @@ def cmd_check_duality(args) -> int:
 
 def cmd_bracket(args) -> int:
     system = _system(args)
-    point = _parse_point(args.point, system.coords)
+    point = _parse_point(args.point, system)
     basis = jetalg.solution_basis(system, point, args.order, cap=args.cap)
     rows = []
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             br = jetalg.bracket(basis[i], basis[j])
-            entries = sorted(
-                ((comp, idx, c) for (comp, idx), c in br.coefficients.items()),
-                key=lambda t: (t[1].sort_key(), t[0]))
-            rows.append((i, j, entries))
+            rows.append((i, j, sorted(br.coefficients.items(),
+                                      key=lambda gc: (gc[0].index.sort_key(), gc[0].component))))
     if args.format == "json":
         obj = {"dimension": len(basis), "order": args.order,
                "brackets": [
                    {"i": i, "j": j,
-                    "terms": [{"component": comp,
-                               "index": list(idx.entries),
+                    "terms": [{"component": g.component,
+                               "index": list(g.index.entries),
                                "coeff": render.coeff_text(c)}
-                              for comp, idx, c in entries]}
+                              for g, c in entries]}
                    for i, j, entries in rows]}
         sys.stdout.write(render.render_json(obj))
     else:
         sys.stdout.write(f"solution basis dimension: {len(basis)}\n")
         for i, j, entries in rows:
             body = " + ".join(
-                f"({render.coeff_text(c)})*zeta[{comp}]{list(idx.entries)}"
-                for comp, idx, c in entries) or "0"
+                f"({render.coeff_text(c)})*zeta[{g.component}]{list(g.index.entries)}"
+                for g, c in entries) or "0"
             sys.stdout.write(f"[v{i+1}, v{j+1}] = {body}\n")
     return 0
 

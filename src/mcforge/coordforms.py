@@ -19,7 +19,6 @@ from .kernel import (
     SymbolKind,
     SymbolTable,
     echelon,
-    eliminate_forward,
     split_names,
 )
 
@@ -58,35 +57,6 @@ def exterior_derivative(omega: CoordOneForm, session: CoframeSession) -> CoordTw
     return CoordTwoForm(out)
 
 
-def wedge_coord(alpha: CoordOneForm, beta: CoordOneForm,
-                session: CoframeSession) -> CoordTwoForm:
-    out: dict = {}
-    _wedge_into(out, None, alpha, beta, key=session.symbol_order)
-    return CoordTwoForm(out)
-
-
-# ---------------------------------------------------------------------------
-# Linear algebra over ScalarExpr
-# ---------------------------------------------------------------------------
-
-
-_ONE = "1"  # the constant column of an augmented row
-
-
-def _solvable(rows: list[dict], rhs: list[ScalarExpr], unknowns: list) -> bool:
-    """Whether sum_u rows[r][u] * x_u = rhs[r] has a solution.
-
-    The augmented constant column sorts below every unknown, so it is a pivot
-    only when the system is inconsistent.
-    """
-    rank = {u: -i for i, u in enumerate(unknowns)}
-    rank[_ONE] = -len(unknowns)
-    forward: dict = {}
-    eliminate_forward(forward, ({**row, _ONE: -b} if b else row for row, b in zip(rows, rhs)),
-                      rank.__getitem__)
-    return _ONE not in forward
-
-
 def coframe_rank_ok(session: CoframeSession) -> bool:
     """Linear independence of the coframe over the rational-function field."""
     _, redundant = echelon((form.terms for form in session.forms.values()),
@@ -98,38 +68,20 @@ def coframe_rank_ok(session: CoframeSession) -> bool:
 class CoframeReport:
     verified: bool
     residues: dict[str, CoordTwoForm] = field(default_factory=dict)
-    unexpressible: list[str] = field(default_factory=list)
 
 
 def verify_structure_equations(session: CoframeSession) -> CoframeReport:
     """Check each claimed d(form) against the computed exterior derivative.
 
-    Each d(form) is also checked to be expressible in the wedge basis of the
-    coframe by solving a linear system; failure is reported separately.
+    A claim is a sum of function multiples of wedges of coframe forms, so a
+    d(form) that is not expressible in their wedge basis always leaves a
+    nonzero residue: the residue alone decides the verdict.
     """
     if not coframe_rank_ok(session):
         raise DependentCoframeError("coframe forms are linearly dependent")
-    names = list(session.forms)
-    pair_names = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
-    wedges = {p: wedge_coord(session.forms[p[0]], session.forms[p[1]], session)
-              for p in pair_names}
-
-    # assemble the linear system: one row per coordinate wedge monomial
-    keys = sorted({k for w in wedges.values() for k in w.terms},
-                  key=lambda st: (session.symbol_order(st[0]), session.symbol_order(st[1])))
-    rows = []
-    for key in keys:
-        rows.append({p: wedges[p].terms[key] for p in pair_names
-                     if key in wedges[p].terms})
-
     report = CoframeReport(verified=True)
-    for name in names:
-        d_omega = exterior_derivative(session.forms[name], session)
-        rhs = [d_omega.terms.get(key, ScalarExpr(0)) for key in keys]
-        if not _solvable(rows, rhs, pair_names):
-            report.unexpressible.append(name)
-            report.verified = False
-        residue = dict(d_omega.terms)
+    for name, form in session.forms.items():
+        residue = dict(exterior_derivative(form, session).terms)
         for c, a, b in session.claims.get(name, []):
             _wedge_into(residue, -c, session.forms[a], session.forms[b],
                         key=session.symbol_order)

@@ -56,7 +56,7 @@ class LinearPdeEquation:
     def normal_key(self):
         # scale-invariant canonical key for deduplication
         c0 = self.terms[self.pivot()]
-        items = [((js.component, js.index.entries), c.ratio(c0))
+        items = [((js.component, js.index.entries), c / c0)
                  for js, c in self.terms.items()]
         items.sort(key=lambda it: it[0])
         return tuple(items)

@@ -8,8 +8,7 @@ on strictly ordered generator tuples; the evaluation convention is
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .kernel import McforgeError, ScalarExpr, accumulate, graded_add, graded_neg
 from .multiindex import MultiIndex
@@ -23,12 +22,13 @@ class MissingRuleError(McforgeError):
     """No structure equation available for a generator during d application."""
 
 
-@dataclass(frozen=True)
-class McGenerator:
+class McGenerator(NamedTuple):
     """The key (component a, multi-index A).
 
     It names the Maurer-Cartan generator mu^a_A and, in a determining system,
-    the source jet zeta^a_A that lifts to it.
+    the source jet zeta^a_A that lifts to it.  As a tuple it equals, and
+    hashes like, its plain ``(component, index)`` pair; it orders by
+    ``sort_key``.
     """
 
     component: int
@@ -37,8 +37,18 @@ class McGenerator:
     def sort_key(self) -> tuple:
         return (self.index.order, self.component, self.index.entries)
 
+    # all four, since a tuple's own orderings are lexicographic
     def __lt__(self, other: "McGenerator") -> bool:
         return self.sort_key() < other.sort_key()
+
+    def __le__(self, other: "McGenerator") -> bool:
+        return self.sort_key() <= other.sort_key()
+
+    def __gt__(self, other: "McGenerator") -> bool:
+        return self.sort_key() > other.sort_key()
+
+    def __ge__(self, other: "McGenerator") -> bool:
+        return self.sort_key() >= other.sort_key()
 
     def __repr__(self):
         return f"mu[{self.component}]{self.index.entries}"

@@ -25,22 +25,21 @@ class TruncationMismatchError(McforgeError):
 
 
 def bracket_monomial(a: int, A: MultiIndex, b: int, B: MultiIndex
-                     ) -> list[tuple[int, int, MultiIndex]]:
-    """[v_a^A, v_b^B] as (integer coefficient, component, index) terms."""
-    raw = []
+                     ) -> dict[McGenerator, int]:
+    """[v_a^A, v_b^B] as its nonzero integer coefficient at each generator."""
+    out: dict[McGenerator, int] = {}
     B_del = delete_one(B, a)
     if B_del is not None:
         target = A.union(B_del)
-        raw.append((multinomial(target, A), b, target))
+        out[McGenerator(b, target)] = multinomial(target, A)
     A_del = delete_one(A, b)
     if A_del is not None:
         target = B.union(A_del)
-        raw.append((-multinomial(target, B), a, target))
-    combined: dict[tuple[int, MultiIndex], int] = {}
-    for c, comp, idx in raw:
-        key = (comp, idx)
-        combined[key] = combined.get(key, 0) + c
-    return [(c, comp, idx) for (comp, idx), c in combined.items() if c != 0]
+        g = McGenerator(a, target)
+        c = out.pop(g, 0) - multinomial(target, B)
+        if c:
+            out[g] = c
+    return out
 
 
 def _rational(value) -> Fraction:
@@ -59,9 +58,9 @@ def _rational(value) -> Fraction:
 class JetVectorField:
     """Truncated Taylor jet of a vector field at the session base point.
 
-    Coefficients map (component, multi-index) to nonzero Fractions: a jet
-    lives at one rational point, so its data are exact rationals.  Everything
-    of order above the truncation is dropped.
+    Coefficients map each McGenerator (a, A), or its plain (a, A) pair, to
+    a nonzero Fraction: a jet lives at one rational point, so its data are
+    exact rationals.  Everything of order above the truncation is dropped.
     """
 
     __slots__ = ("coefficients", "truncation")
@@ -80,18 +79,15 @@ class JetVectorField:
 
     @classmethod
     def monomial(cls, comp: int, idx: MultiIndex, truncation: int) -> "JetVectorField":
-        return cls({(comp, idx): Fraction(1)}, truncation)
+        return cls({McGenerator(comp, idx): Fraction(1)}, truncation)
 
     @property
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def coefficient(self, comp: int, idx: MultiIndex) -> ScalarExpr:
-        return ScalarExpr(self.coefficients.get((comp, idx), 0))
-
     def pair(self, g: McGenerator) -> ScalarExpr:
         """Dual pairing <mu^a_A, jet> = coefficient at (a, A)."""
-        return self.coefficient(g.component, g.index)
+        return ScalarExpr(self.coefficients.get(g, 0))
 
     def truncate(self, order: int) -> "JetVectorField":
         if order > self.truncation:
@@ -137,11 +133,9 @@ def bracket(v: JetVectorField, w: JetVectorField) -> JetVectorField:
     coeffs: dict = {}
     for (a, A), cv in v.coefficients.items():
         for (b, B), cw in w.coefficients.items():
-            for c, comp, idx in bracket_monomial(a, A, b, B):
-                if idx.order > out_trunc:
-                    continue
-                key = (comp, idx)
-                coeffs[key] = coeffs.get(key, 0) + cv * cw * c
+            for g, c in bracket_monomial(a, A, b, B).items():
+                if g.index.order <= out_trunc:
+                    coeffs[g] = coeffs.get(g, 0) + cv * cw * c
     return JetVectorField(coeffs, out_trunc)
 
 
@@ -180,19 +174,18 @@ def solution_basis(sys: DeterminingSystem, point: Mapping[str, object],
     for p in sol.parametric:
         if p.index.order > N:
             continue
-        coeffs = {(p.component, p.index): Fraction(1)}
+        coeffs = {p: Fraction(1)}
         for d, rhs in dependents:
             c = rhs.get(p)
             if c is not None:
-                coeffs[(d.component, d.index)] = c.substitute(subs).as_fraction()
+                coeffs[d] = c.substitute(subs).as_fraction()
         basis.append(JetVectorField(coeffs, N))
     return basis
 
 
 def expand_in_basis(v: JetVectorField, sol_parametric: list) -> dict:
     """Coordinates of a solution jet with respect to an echelon basis."""
-    return {p: v.coefficient(p.component, p.index)
-            for p in sol_parametric if p.index.order <= v.truncation}
+    return {p: v.pair(p) for p in sol_parametric if p.index.order <= v.truncation}
 
 
 @dataclass
@@ -222,9 +215,8 @@ def check_duality(eqs: StructureEquationSet, basis: list[JetVectorField],
         for (h, k), c in eqs.equations[g].terms.items():
             value = c.substitute(subs).as_fraction()
             if value:
-                hk, kh = (h.component, h.index), (k.component, k.index)
-                table.setdefault((hk, kh), []).append((g, value))
-                table.setdefault((kh, hk), []).append((g, -value))
+                table.setdefault((h, k), []).append((g, value))
+                table.setdefault((k, h), []).append((g, -value))
     pairings = 0
     violations = []
     for i, j in itertools.combinations(range(len(basis)), 2):
@@ -237,7 +229,7 @@ def check_duality(eqs: StructureEquationSet, basis: list[JetVectorField],
         for g in eqs.basis:
             pairings += 1
             left = lhs.get(g, 0)
-            right = -br.get((g.component, g.index), 0)
+            right = -br.get(g, 0)
             if left != right:
                 violations.append((g, i, j, ScalarExpr(left), ScalarExpr(right)))
     return DualityReport(pairings, violations)

@@ -84,9 +84,10 @@ class SymbolTable:
     """Append-only registry of declared symbols plus the genericity ledger.
 
     The genericity ledger (``assumed_nonzero``) collects every non-constant
-    function that has been divided by during the session, input-coefficient
-    denominators and elimination pivots alike; all reports surface it so
-    standing assumptions like x != 0 are explicit.
+    function the session assumes nonzero.  It has two writers: ``ExprParser``
+    records each divisor of an input, and ``eliminate_forward`` each pivot.
+    Arithmetic, division included, records nothing.  All reports surface the
+    ledger so standing assumptions like x != 0 are explicit.
 
     ``field`` is the rational-function field over QQ in the declared symbols
     that holds every non-constant value built with this table.  It is built on
@@ -308,21 +309,13 @@ class ScalarExpr:
     __rmul__ = __mul__
 
     def __truediv__(self, value):
-        other = _coerce(value, self.table)
-        if other.is_zero:
+        a, b, table = self._operands(value)
+        if not b:
             raise ZeroDivisionFunctionError("division by the zero function")
-        table = self.table or other.table
-        if table is not None and not other.is_constant:
-            table.record_nonzero(other)
-        return self.ratio(other)
+        return ScalarExpr(a / b, table)
 
     def __rtruediv__(self, value):
         return _coerce(value, self.table) / self
-
-    def ratio(self, value) -> "ScalarExpr":
-        """self / value for a nonzero value, recording nothing in the ledger."""
-        a, b, table = self._operands(value)
-        return ScalarExpr(a / b, table)
 
     def __neg__(self):
         return ScalarExpr(-self.value, self.table)
@@ -331,11 +324,8 @@ class ScalarExpr:
         if not isinstance(exponent, int):
             raise McforgeError("only integer exponents are supported")
         value = self.value
-        if exponent < 0:
-            if self.is_zero:
-                raise ZeroDivisionFunctionError("negative power of the zero function")
-            if self.table is not None and not self.is_constant:
-                self.table.record_nonzero(self)
+        if exponent < 0 and self.is_zero:
+            raise ZeroDivisionFunctionError("negative power of the zero function")
         if type(value) is Fraction or exponent >= 0:
             return ScalarExpr(value ** exponent, self.table)
         power = value ** -exponent
@@ -451,7 +441,7 @@ def eliminate_forward(forward: dict, rows: Iterable[Mapping], key) -> int:
             redundant += 1
             continue
         c = row.pop(pivot)
-        if c.table is not None and not c.is_constant:
+        if not c.is_constant:
             c.table.record_nonzero(c)
         minus_c = -c
         forward[pivot] = {j: v / minus_c for j, v in row.items()}
@@ -649,6 +639,12 @@ class ExprParser:
         self.depth -= 1
         return value
 
+    def divisor(self, c: ScalarExpr) -> ScalarExpr:
+        """``c``, recorded in the genericity ledger when it is not constant."""
+        if not c.is_constant:
+            self.table.record_nonzero(c)
+        return c
+
     def scalar(self, c: ScalarExpr) -> dict:
         return {SCALAR: c} if c else {}
 
@@ -692,8 +688,8 @@ class ExprParser:
             if op.text == "/":
                 if not rhs:
                     raise ParseError("division by zero", op.line, op.col)
-                # one division, so the divisor enters the ledger once
-                rhs = {SCALAR: 1 / rhs[SCALAR]}
+                # one inverse, then a product per term
+                rhs = {SCALAR: 1 / self.divisor(rhs[SCALAR])}
             value = {k: v * rhs[SCALAR] for k, v in value.items()} if rhs else {}
             self.bounded(value, op)
         return value
@@ -720,6 +716,8 @@ class ExprParser:
         if n < 0 and not c:
             raise ParseError("division by zero", op.line, op.col)
         self.check_power(c, n, op)
+        if n < 0:
+            self.divisor(c)
         return self.bounded(self.scalar(c ** n), op)
 
     def parse_atom(self):

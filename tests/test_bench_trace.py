@@ -42,6 +42,7 @@ def test_traced_rational_solve_job(bench_run):
         # sympy's cancel now runs only for genericity-ledger entries: 5 calls in
         # this job, where cancelling every ScalarExpr took 8 839
         assert metrics["kernel.cancel_calls"][0] < 100
-        # every division and non-constant pivot still reaches the ledger, and
-        # the count does not depend on how the seed orders the equation lines
-        assert metrics["kernel.assumptions"][0] == 65
+        # the parser's non-constant divisors and the eliminator's non-constant
+        # pivots reach the ledger, one call each, and the count does not depend
+        # on how the seed orders the equation lines
+        assert metrics["kernel.assumptions"][0] == 38

@@ -171,6 +171,13 @@ def test_missing_bundled_exit_2(capsys):
     assert "no bundled input" in err
 
 
+@pytest.mark.parametrize("name", ["../cli.py", "../data/janet.dsys", "data", ""])
+def test_bundled_name_outside_data_exit_2(capsys, name):
+    code, out, err = run(capsys, "structure", f"@{name}", "--order", "1")
+    assert (code, out) == (2, "")
+    assert f"no bundled input named {name!r}" in err
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.dsys"
     bad.write_text("coords: x\nfields: xi\neq: xi * xi = 0\n")
@@ -183,6 +190,14 @@ def test_bad_point_exit_2(capsys):
                        "--order", "1", "--point", "q=1")
     assert code == 2
     assert "unknown coordinate" in err
+
+
+@pytest.mark.parametrize("command", ["check-duality", "bracket"])
+def test_repeated_point_coordinate_exit_2(capsys, command):
+    code, out, err = run(capsys, command, "@intransitive_translation.dsys",
+                         "--order", "1", "--point", "x=1,x=2")
+    assert (code, out) == (2, "")
+    assert "coordinate 'x' given twice in --point" in err
 
 
 def test_color_env_controls_stderr(capsys, monkeypatch):

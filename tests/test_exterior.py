@@ -37,6 +37,25 @@ def test_generator_ordering_by_order_then_component():
     assert g(0, 0) < g(0, 1)       # entries break final ties
 
 
+generators = st.builds(lambda comp, entries: g(comp, *entries),
+                       st.integers(0, 2), st.lists(st.integers(0, 2), max_size=3))
+
+
+@given(generators, generators, st.lists(generators, min_size=1, max_size=6))
+def test_generator_is_its_pair_and_orders_by_sort_key(a, b, many):
+    pair = (a.component, a.index)
+    assert a == pair and pair == a
+    assert hash(a) == hash(pair)
+    assert {pair: 1}[a] == 1
+    ka, kb = a.sort_key(), b.sort_key()
+    assert (a < b, a <= b, a > b, a >= b) == (ka < kb, ka <= kb, ka > kb, ka >= kb)
+    assert (a == b) == (ka == kb)
+    keys = sorted(map(McGenerator.sort_key, many))
+    assert [h.sort_key() for h in sorted(many)] == keys
+    assert min(many).sort_key() == keys[0]
+    assert max(many).sort_key() == keys[-1]
+
+
 def test_wedge_antisymmetric():
     a = one((g(0), 2), (g(1), 3))
     b = one((g(0, 0), 1), (g(1), -1))

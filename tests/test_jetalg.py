@@ -71,17 +71,17 @@ def test_bracket_monomial_against_sympy(m):
     idxs = all_indices(m, 3)
     for a, b in itertools.product(range(m), repeat=2):
         for A, B in itertools.product(idxs, repeat=2):
-            got = {(comp, idx): c for c, comp, idx in bracket_monomial(a, A, b, B)}
+            got = bracket_monomial(a, A, b, B)
             assert got == sympy_bracket(a, A, b, B, m), (a, A, b, B)
 
 
 def test_bracket_monomial_examples():
     # [d_x, x d_x] = d_x
-    assert bracket_monomial(0, mi(), 0, mi(0)) == [(1, 0, mi())]
+    assert bracket_monomial(0, mi(), 0, mi(0)) == {mc(0): 1}
     # [x d_x, x^2/2 d_x] = x^2/2 d_x
-    assert bracket_monomial(0, mi(0), 0, mi(0, 0)) == [(1, 0, mi(0, 0))]
+    assert bracket_monomial(0, mi(0), 0, mi(0, 0)) == {mc(0, 0, 0): 1}
     # [d_x, d_y] = 0
-    assert bracket_monomial(0, mi(), 1, mi()) == []
+    assert bracket_monomial(0, mi(), 1, mi()) == {}
 
 
 def test_bracket_1d_closed_form():
@@ -91,7 +91,7 @@ def test_bracket_1d_closed_form():
             got = bracket_monomial(0, mi(*([0] * j)), 0, mi(*([0] * k)))
             c = math.comb(j + k - 1, j) - math.comb(j + k - 1, k) \
                 if j + k >= 1 else 0
-            expected = [(c, 0, mi(*([0] * (j + k - 1))))] if c else []
+            expected = {mc(0, *([0] * (j + k - 1))): c} if c else {}
             assert got == expected, (j, k)
 
 
@@ -205,10 +205,17 @@ def test_essential_solution_basis_satisfies_system(essential_system):
         for eq in prolonged.equations:
             total = ScalarExpr(0, essential_system.table)
             for js, c in eq.terms.items():
-                coeff = v.coefficient(js.component, js.index)
+                coeff = v.pair(js)
                 if not coeff.is_zero:
                     total = total + c.substitute(subs) * coeff
             assert total.is_zero
+
+
+def test_basis_and_bracket_keys_are_generators(essential_system):
+    basis = solution_basis(essential_system, default_point(essential_system), 2)
+    jets = basis + [bracket(v, w) for v, w in itertools.combinations(basis, 2)]
+    assert all(type(key) is McGenerator for v in jets for key in v.coefficients)
+    assert any(not v.is_zero for v in jets[len(basis):])
 
 
 def test_expand_in_basis_roundtrip(essential_system):

@@ -55,9 +55,16 @@ def test_division_by_zero_function(table):
 
 
 def test_division_records_genericity(table):
-    x = table.expr("x")
-    _ = ScalarExpr(1, table) / x
-    assert any(a == x for a in table.assumed_nonzero)
+    parse_expr("1/x", table)
+    assert table.assumed_nonzero == [table.expr("x")]
+
+
+def test_scalar_division_leaves_ledger_empty(table):
+    x, y = table.expr("x"), table.expr("y")
+    assert (1 / x) * x == 1
+    assert (x + y) / (x - y) * (x - y) == x + y
+    assert x ** -2 * x ** 2 == 1
+    assert table.assumed_nonzero == []
 
 
 def test_division_by_constant_not_recorded(table):
