@@ -63,12 +63,53 @@ def _parse_point(text: str | None, system: detsys.DeterminingSystem) -> dict:
     return point
 
 
+# The most Maurer-Cartan generators, m C(m + n + 1, n + 1) in dimension m at
+# order n, that a command may work with.  The largest structure command
+# allowed, diffeo --dim 1 --order 498, takes about 20 s on a 2-vCPU x86-64
+# host; past the limit the cost grows without bound, so such a command is
+# refused before anything is built.
+MAX_GENERATORS = 500
+# counts larger than this are reported as larger than it
+_COUNT_SHOWN = 10 ** 18
+
+
+def _generator_count(m: int, n: int) -> int | None:
+    """m C(m + n + 1, n + 1), or None when it exceeds _COUNT_SHOWN.
+
+    C(max + j, j) with j = min(m, n + 1) is built one factor at a time; it at
+    least doubles per factor, so a few dozen steps decide the answer.
+    """
+    j, top = min(m, n + 1), max(m, n + 1)
+    c = 1
+    for i in range(1, j + 1):
+        c = c * (top + i) // i
+        if m * c > _COUNT_SHOWN:
+            return None
+    return m * c
+
+
+def _check_size(m: int, n: int) -> None:
+    count = _generator_count(m, n)
+    if count is None or count > MAX_GENERATORS:
+        shown = f"more than {_COUNT_SHOWN}" if count is None else count
+        raise McforgeError(
+            f"order {n} in dimension {m} needs {shown} Maurer-Cartan generators, "
+            f"above the limit of {MAX_GENERATORS}")
+
+
 def _system(args) -> detsys.DeterminingSystem:
-    """The command's determining system: its input's, or for ``diffeo`` one with no equations."""
+    """The command's determining system: its input's, or for ``diffeo`` one with no equations.
+
+    A command whose order needs more than MAX_GENERATORS generators is
+    refused here, before anything is prolonged or solved.
+    """
     if args.command != "diffeo":
-        return detsys.parse_system(_read_input(args.input))
+        system = detsys.parse_system(_read_input(args.input))
+        _check_size(len(system.coords), args.order)
+        return system
     if args.dim < 1:
         raise McforgeError("--dim must be >= 1")
+    _check_size(args.dim, args.order)
     coords = (["x", "y", "z"][:args.dim] if args.dim <= 3
               else [f"z{i+1}" for i in range(args.dim)])
     return detsys.DeterminingSystem.empty(coords)

@@ -174,10 +174,6 @@ def wedge_two_one(omega: TwoForm, alpha: OneForm) -> ThreeForm:
     return ThreeForm(out)
 
 
-def wedge_one_two(alpha: OneForm, omega: TwoForm) -> ThreeForm:
-    return wedge_two_one(omega, alpha)
-
-
 def _solved_map(rel) -> Mapping[McGenerator, OneForm]:
     """The relations' dependent generator -> OneForm map, checked to be solved."""
     solved = getattr(rel, "solved", rel)

@@ -183,11 +183,6 @@ def solution_basis(sys: DeterminingSystem, point: Mapping[str, object],
     return basis
 
 
-def expand_in_basis(v: JetVectorField, sol_parametric: list) -> dict:
-    """Coordinates of a solution jet with respect to an echelon basis."""
-    return {p: v.pair(p) for p in sol_parametric if p.index.order <= v.truncation}
-
-
 @dataclass
 class DualityReport:
     pairings: int
@@ -246,35 +241,30 @@ class JacobiReport:
 
 
 def jacobi_check(basis: list[JetVectorField]) -> JacobiReport:
-    """Cyclic double brackets must vanish at truncation N - 2."""
+    """Cyclic double brackets must vanish at truncation N - 2.
+
+    Each triple i < j < k sums [[u, v], w] + [[v, w], u] + [[w, u], v] term
+    for term; [w, u] is bracketed as it stands, not taken as -[u, w], so the
+    check assumes no antisymmetry.  An inner bracket is computed once per
+    ordered pair and each jet truncated once, so a call makes at most
+    n(n - 1) + 3 C(n, 3) brackets for n jets.
+    """
+    low = [v.truncate(v.truncation - 1) for v in basis]
+    inner: dict = {}
+
+    def br(a, b):
+        if (a, b) not in inner:
+            inner[a, b] = bracket(basis[a], basis[b])
+        return inner[a, b]
+
     triples = 0
     violations = []
     for i, j, k in itertools.combinations(range(len(basis)), 3):
-        u, v, w = basis[i], basis[j], basis[k]
-        total = (bracket(bracket(u, v), w.truncate(u.truncation - 1))
-                 + bracket(bracket(v, w), u.truncate(u.truncation - 1))
-                 + bracket(bracket(w, u), v.truncate(u.truncation - 1)))
+        total = (bracket(br(i, j), low[k])
+                 + bracket(br(j, k), low[i])
+                 + bracket(br(k, i), low[j]))
         triples += 1
         if not total.is_zero:
             violations.append((i, j, k, total))
     return JacobiReport(triples, violations)
 
-
-def structure_constants(eqs: StructureEquationSet,
-                        point: Mapping[str, object]) -> list[tuple[int, int, int, ScalarExpr]]:
-    """Coefficients C^i_{jk} of d mu^i = sum_{j<k} C^i_{jk} mu^j ^ mu^k at the point.
-
-    Indices refer to positions in eqs.basis; pairs involving generators
-    outside the basis are skipped (infinite-type tails).
-    """
-    subs = _point_map(eqs.system, point, target=True)
-    pos = {g: i for i, g in enumerate(eqs.basis)}
-    out = []
-    for i, g in enumerate(eqs.basis):
-        for (h, k), c in sorted(eqs.equations[g].terms.items(),
-                                key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key())):
-            if h in pos and k in pos:
-                value = c.substitute(subs)
-                if not value.is_zero:
-                    out.append((i, pos[h], pos[k], value))
-    return out

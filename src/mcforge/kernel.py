@@ -20,6 +20,7 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Optional
 
 import sympy as sp
@@ -198,6 +199,33 @@ def _field_value(f: FracElement, table: SymbolTable | None):
     return f
 
 
+def _content(p) -> int:
+    """The gcd of the coefficients of ``p``, a polynomial with integer coefficients."""
+    return gcd(*[int(c.numerator) for c in p.itercoeffs()])
+
+
+def _scaled(f: FracElement, q: Fraction, table: SymbolTable, invert: bool = False):
+    """q * f, or q / f with ``invert``, for a non-constant f and a nonzero q.
+
+    A canonical field element has coprime numerator and denominator with
+    integer coefficients, no common integer content, and a denominator whose
+    leading coefficient is positive.  A constant factor leaves the polynomial
+    gcd alone, so scaling needs only the integer contents and the sign: no
+    polynomial gcd runs, and the result is the element the field's own
+    arithmetic would build.
+    """
+    f = _in_field(f, table.field)
+    numer, denom = f.numer, f.denom
+    if invert:
+        numer, denom = denom, numer
+        if denom.LC < 0:
+            numer, denom = -numer, -denom
+    r, s = q.numerator, q.denominator
+    g = gcd(_content(numer) * abs(r), _content(denom) * s)
+    return ScalarExpr(f.field.raw_new(numer.mul_ground(QQ(r, g)),
+                                      denom.mul_ground(QQ(s, g))), table)
+
+
 _ZERO = Fraction(0)
 
 
@@ -303,15 +331,27 @@ class ScalarExpr:
         return ScalarExpr(b - a, table)
 
     def __mul__(self, value):
-        a, b, table = self._operands(value)
+        other = _coerce(value, self.table)
+        a, b = self.value, other.value
+        if type(a) is Fraction and a and type(b) is not Fraction:
+            return _scaled(b, a, self.table or other.table)
+        if type(b) is Fraction and b and type(a) is not Fraction:
+            return _scaled(a, b, self.table or other.table)
+        a, b, table = self._operands(other)
         return ScalarExpr(a * b, table)
 
     __rmul__ = __mul__
 
     def __truediv__(self, value):
-        a, b, table = self._operands(value)
+        other = _coerce(value, self.table)
+        a, b = self.value, other.value
         if not b:
             raise ZeroDivisionFunctionError("division by the zero function")
+        if type(a) is Fraction and a and type(b) is not Fraction:
+            return _scaled(b, a, self.table or other.table, invert=True)
+        if type(b) is Fraction and type(a) is not Fraction:
+            return _scaled(a, 1 / b, self.table or other.table)
+        a, b, table = self._operands(other)
         return ScalarExpr(a / b, table)
 
     def __rtruediv__(self, value):

@@ -1,0 +1,53 @@
+"""Test-only helpers: code that checks the package, which the package never calls."""
+
+import itertools
+from typing import Mapping
+
+from mcforge.exterior import OneForm, ThreeForm, TwoForm, wedge_two_one
+from mcforge.jetalg import JacobiReport, JetVectorField, _point_map, bracket
+from mcforge.kernel import ScalarExpr
+from mcforge.structure import StructureEquationSet
+
+
+def jacobi_by_triples(basis: list[JetVectorField]) -> JacobiReport:
+    """``jetalg.jacobi_check`` computed triple by triple, every bracket from scratch."""
+    triples = 0
+    violations = []
+    for i, j, k in itertools.combinations(range(len(basis)), 3):
+        u, v, w = basis[i], basis[j], basis[k]
+        total = (bracket(bracket(u, v), w.truncate(u.truncation - 1))
+                 + bracket(bracket(v, w), u.truncate(u.truncation - 1))
+                 + bracket(bracket(w, u), v.truncate(u.truncation - 1)))
+        triples += 1
+        if not total.is_zero:
+            violations.append((i, j, k, total))
+    return JacobiReport(triples, violations)
+
+
+def structure_constants(eqs: StructureEquationSet,
+                        point: Mapping[str, object]) -> list[tuple[int, int, int, ScalarExpr]]:
+    """Coefficients C^i_{jk} of d mu^i = sum_{j<k} C^i_{jk} mu^j ^ mu^k at the point.
+
+    Indices refer to positions in eqs.basis; pairs involving generators
+    outside the basis are skipped (infinite-type tails).
+    """
+    subs = _point_map(eqs.system, point, target=True)
+    pos = {g: i for i, g in enumerate(eqs.basis)}
+    out = []
+    for i, g in enumerate(eqs.basis):
+        for (h, k), c in sorted(eqs.equations[g].terms.items(),
+                                key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key())):
+            if h in pos and k in pos:
+                value = c.substitute(subs)
+                if not value.is_zero:
+                    out.append((i, pos[h], pos[k], value))
+    return out
+
+
+def expand_in_basis(v: JetVectorField, sol_parametric: list) -> dict:
+    """Coordinates of a solution jet with respect to an echelon basis."""
+    return {p: v.pair(p) for p in sol_parametric if p.index.order <= v.truncation}
+
+
+def wedge_one_two(alpha: OneForm, omega: TwoForm) -> ThreeForm:
+    return wedge_two_one(omega, alpha)

@@ -1,10 +1,13 @@
 import itertools
 import json
+import math
 import random
+import time
 from pathlib import Path
 
 import pytest
 
+from mcforge import cli
 from mcforge.cli import main
 
 from conftest import bundled
@@ -318,6 +321,52 @@ def test_negative_order_exit_2_on_every_command(capsys, command, extra):
     assert code == 2
     assert out == ""
     assert err == "error: order must be >= 0\n"
+
+
+GUARD = "above the limit of 500\n"
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("structure", ["@cartan_essential.dsys"]),
+    ("diffeo", ["--dim", "3"]),
+    ("lift", ["@cartan_essential.dsys"]),
+    ("prolong", ["@cartan_essential.dsys"]),
+    ("check-d2", ["@cartan_essential.dsys"]),
+    ("check-duality", ["@cartan_essential.dsys"]),
+    ("bracket", ["@cartan_essential.dsys"]),
+])
+def test_too_many_generators_exit_2_at_once(capsys, command, extra):
+    # three coordinates at order 50: 3 C(54, 51) generators
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, *extra, "--order", "50")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == ("error: order 50 in dimension 3 needs 74412 Maurer-Cartan "
+                   "generators, " + GUARD)
+
+
+def test_generator_limit_boundary(capsys):
+    # in dimension 1 there are n + 2 generators at order n
+    assert cli._generator_count(1, 498) == cli.MAX_GENERATORS == 500
+    code, _, err = run(capsys, "diffeo", "--dim", "1", "--order", "499")
+    assert code == 2
+    assert err == "error: order 499 in dimension 1 needs 501 Maurer-Cartan generators, " + GUARD
+    assert run(capsys, "diffeo", "--dim", "2", "--order", "19")[0] == 0  # 462 generators
+
+
+def test_astronomical_generator_count_exit_2_at_once(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "diffeo", "--dim", "1000000", "--order", "1000000")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert err == ("error: order 1000000 in dimension 1000000 needs more than "
+                   "1000000000000000000 Maurer-Cartan generators, " + GUARD)
+
+
+def test_generator_count_is_the_binomial_formula():
+    for m in range(1, 6):
+        for n in range(30):
+            assert cli._generator_count(m, n) == m * math.comb(m + n + 1, n + 1)
 
 
 def _dsys_lines(coords="x, y", targets=None, fields="xi, eta", extra=()):

@@ -16,11 +16,12 @@ from mcforge.exterior import (
     reduce_one,
     reduce_two,
     wedge,
-    wedge_one_two,
     wedge_two_one,
 )
 from mcforge.kernel import ScalarExpr, SymbolKind, SymbolTable
 from mcforge.multiindex import MultiIndex
+
+from helpers import wedge_one_two
 
 
 def g(comp, *entries):

@@ -8,6 +8,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, reject, settings, strategies as st
 
+from mcforge import jetalg
 from mcforge.detsys import DeterminingSystem, parse_system, prolong
 from mcforge.exterior import McGenerator, TwoForm
 from mcforge.jetalg import (
@@ -17,10 +18,8 @@ from mcforge.jetalg import (
     bracket_monomial,
     check_duality,
     default_point,
-    expand_in_basis,
     jacobi_check,
     solution_basis,
-    structure_constants,
 )
 from mcforge.kernel import DegeneratePointError, McforgeError, ScalarExpr
 from mcforge.multiindex import MultiIndex, all_indices, factorial_weight
@@ -28,6 +27,7 @@ from mcforge.render import coeff_text
 from mcforge.structure import pseudo_group_structure
 
 from conftest import bundled
+from helpers import expand_in_basis, jacobi_by_triples, structure_constants
 
 
 def mi(*entries):
@@ -158,6 +158,70 @@ def test_jacobi_on_monomial_bases():
         report = jacobi_check(basis)
         assert report.ok
         assert report.triples == math.comb(len(basis), 3)
+
+
+def _report_key(report):
+    return report.triples, [(i, j, k, total.truncation, total.coefficients)
+                            for i, j, k, total in report.violations]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_jacobi_matches_triple_oracle_diffeo(m):
+    sys = DeterminingSystem.empty(["x", "y"][:m])
+    basis = solution_basis(sys, default_point(sys), 4)
+    assert _report_key(jacobi_check(basis)) == _report_key(jacobi_by_triples(basis))
+
+
+def test_jacobi_matches_triple_oracle_essential(essential_system):
+    point = {"x": Fraction(3, 2), "y": Fraction(-2), "z": Fraction(5, 7)}
+    basis = solution_basis(essential_system, point, 2)
+    report = jacobi_check(basis)
+    assert report.triples == math.comb(len(basis), 3) > 0
+    assert _report_key(report) == _report_key(jacobi_by_triples(basis))
+
+
+def test_jacobi_matches_triple_oracle_on_a_corrupt_bracket(monkeypatch):
+    """A bracket that is wrong at one ordered pair breaks Jacobi in the same triples."""
+    sys = DeterminingSystem.empty(["x", "y"])
+    basis = solution_basis(sys, default_point(sys), 3)
+    honest = bracket_monomial
+
+    def corrupt(a, A, b, B):
+        out = honest(a, A, b, B)
+        if (a, A, b, B) == (0, mi(0), 1, mi(0, 1)):
+            g = mc(1, 0, 1)
+            out[g] = out.get(g, 0) + 1
+        return out
+
+    monkeypatch.setattr(jetalg, "bracket_monomial", corrupt)
+    report = jacobi_check(basis)
+    assert report.violations
+    assert _report_key(report) == _report_key(jacobi_by_triples(basis))
+
+
+def test_jacobi_bracket_count(monkeypatch):
+    calls = []
+
+    def spy(v, w):
+        calls.append(1)
+        return bracket(v, w)
+
+    monkeypatch.setattr(jetalg, "bracket", spy)
+    sys = DeterminingSystem.empty(["x", "y"])
+    basis = solution_basis(sys, default_point(sys), 3)
+    n = len(basis)
+    assert jacobi_check(basis).triples == math.comb(n, 3)
+    assert 0 < len(calls) <= n * (n - 1) + 3 * math.comb(n, 3)
+    calls.clear()
+    assert jacobi_check(basis[:2]).triples == 0
+    assert not calls
+
+
+def test_jacobi_mixed_truncations_raise():
+    basis = [JetVectorField.monomial(0, mi(), 3), JetVectorField.monomial(0, mi(0), 3),
+             JetVectorField.monomial(0, mi(0, 0), 2)]
+    with pytest.raises(TruncationMismatchError):
+        jacobi_check(basis)
 
 
 # ---------------------------------------------------------------------------

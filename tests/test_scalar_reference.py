@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from sympy import QQ
 
 from mcforge.kernel import DegeneratePointError, ScalarExpr, SymbolKind, SymbolTable
 from mcforge.render import coeff_latex, coeff_text
@@ -129,3 +130,59 @@ def test_symbol_declared_after_the_field_was_built():
     assert early == late and hash(early) == hash(late)
     assert str((early * a).diff(table.lookup("x"))) == "a"
     assert str(early / a - late / a) == "0"
+
+
+# ---------------------------------------------------------------------------
+# Scaling by a rational constant against sympy's own field arithmetic
+# ---------------------------------------------------------------------------
+
+# a polynomial as (integer coefficient, exponent of each of NAMES) terms, so
+# that numerators and denominators can carry a non-unit integer content
+POLYS = st.lists(st.tuples(st.integers(-6, 6).filter(bool),
+                           st.tuples(*[st.integers(0, 2)] * len(NAMES))),
+                 min_size=1, max_size=3)
+CONSTANTS = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+
+
+def polynomial(terms):
+    out = TABLE.field.zero
+    for c, exponents in terms:
+        monomial = TABLE.field.one * c
+        for name, e in zip(NAMES, exponents):
+            monomial = monomial * TABLE.generator(TABLE.lookup(name)) ** e
+        out = out + monomial
+    return out
+
+
+def check_scaled(f, q):
+    """c * f, f * c, f / c and c / f equal what the field's cancelling arithmetic builds."""
+    value, c, k = ScalarExpr(f, TABLE), ScalarExpr(q, TABLE), QQ(q.numerator, q.denominator)
+    ledger = list(TABLE.assumed_nonzero)
+    cases = [(c * value, k * f), (q * value, k * f), (value * c, f * k),
+             (value / c, f / k), (c / value, k / f), (q / value, k / f)]
+    for got, want in cases:
+        assert not got.is_constant
+        assert (got.value.numer, got.value.denom) == (want.numer, want.denom)
+        assert got.table is TABLE
+    assert TABLE.assumed_nonzero == ledger
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(POLYS, POLYS, CONSTANTS)
+def test_scaling_by_constant_matches_field(numer, denom, q):
+    denom = polynomial(denom)
+    assume(denom)
+    f = polynomial(numer) / denom
+    assume(not (f.numer.is_ground and f.denom.is_ground))
+    check_scaled(f, q)
+
+
+def test_scaling_by_constant_edge_cases():
+    x, eta = (0, 1, 0, 0), (0, 0, 1, 0)
+    # (-2x + 4) / (6 eta): contents 2 and 6, a negative constant, and c / f
+    # puts -2x + 4, whose leading coefficient is negative, in the denominator
+    f = polynomial([(-2, x), (4, (0, 0, 0, 0))]) / polynomial([(6, eta)])
+    assert f.numer.LC < 0 and f.denom.LC > 0
+    assert [c for c in f.numer.coeffs() + f.denom.coeffs() if abs(c) > 1]
+    for q in (Fraction(-3, 4), Fraction(5, 2), Fraction(-1), Fraction(9), Fraction(2, 9)):
+        check_scaled(f, q)
