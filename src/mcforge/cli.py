@@ -16,12 +16,8 @@ from . import coordforms, detsys, jetalg, render, structure
 from .kernel import McforgeError
 
 
-def _color_enabled() -> bool:
-    return os.environ.get("MCFORGE_COLOR", "0") == "1"
-
-
 def _diag(message: str) -> str:
-    if _color_enabled():
+    if os.environ.get("MCFORGE_COLOR", "0") == "1":
         return f"\x1b[31m{message}\x1b[0m"
     return message
 
@@ -232,14 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Maurer-Cartan structure equations of Lie pseudo-groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True, order=True):
+    def common(p, needs_input=True, order=True, cap=True):
         if needs_input:
             p.add_argument("input", help="determining-system file (@name for bundled)")
         if order:
             p.add_argument("--order", type=int, required=True)
-        p.add_argument("--cap", type=int, default=None,
-                       help="max prolongation order for the fixed-point loop "
-                            "(at least --order)")
+        if cap:
+            p.add_argument("--cap", type=int, default=None,
+                           help="max prolongation order for the fixed-point loop "
+                                "(at least --order)")
         p.add_argument("--format", choices=["text", "latex", "json"], default="text")
 
     p = sub.add_parser("structure", help="pseudo-group structure equations")
@@ -256,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("prolong", help="prolonged determining system")
-    common(p)
+    common(p, cap=False)
     p.set_defaults(func=cmd_prolong)
 
     p = sub.add_parser("check-d2", help="verify d(d mu) = 0")
@@ -275,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bracket)
 
     p = sub.add_parser("verify-coframe", help="check a coframe's structure equations")
-    common(p, order=False)
+    common(p, order=False, cap=False)
     p.set_defaults(func=cmd_verify_coframe)
 
     return parser
@@ -285,11 +282,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        order = getattr(args, "order", None)
+        order, cap = getattr(args, "order", None), getattr(args, "cap", None)
         if order is not None and order < 0:
             raise McforgeError("order must be >= 0")
-        if args.cap is not None and order is not None and args.cap < order:
-            raise McforgeError(f"--cap {args.cap} below --order {order}")
+        if cap is not None and order is not None and cap < order:
+            raise McforgeError(f"--cap {cap} below --order {order}")
         return args.func(args)
     except McforgeError as exc:
         sys.stderr.write(_diag(f"error: {exc}") + "\n")

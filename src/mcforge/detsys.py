@@ -10,9 +10,9 @@ become the linear relations among the restricted forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain, count, islice
-from typing import Iterator, Optional
+from dataclasses import dataclass, field
+from itertools import chain, islice
+from typing import Optional
 
 from .exterior import McGenerator, OneForm
 from .kernel import (
@@ -67,13 +67,31 @@ def _key_text(key) -> str:
     return str(tuple((jet, c.expr) for jet, c in key))
 
 
+class _Prolongation:
+    """Rows by jet order, the last order's front, the forward elimination and its pivot
+    count after each order; it holds no system, so it makes no cycle for the GC."""
+
+    def __init__(self):
+        self.rows, self.front, self.forward, self.sizes = [], [], {}, []
+
+
 @dataclass
 class DeterminingSystem:
+    """A determining system and the one prolongation that every solve of it extends.
+
+    Each jet order is derived once, when ``prolong`` or a solve first reaches
+    it, and eliminated once, when a solve does; ``prolong`` eliminates
+    nothing.  The equations are fixed once the system is prolonged or solved.
+    Like the genericity ledger of its table, the prolongation is per-system.
+    """
+
     table: SymbolTable
     coords: list[str]
     targets: list[str]
     fields: list[str]
     equations: list[LinearPdeEquation]
+    _prolongation: _Prolongation = field(default_factory=_Prolongation, init=False,
+                                         compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -214,14 +232,8 @@ def parse_system(text: str) -> DeterminingSystem:
                                  f"'{declared[name]}:'", header_lines.get(head), 1)
             declared[name] = head
 
-    table = SymbolTable()
-    for c in coords:
-        table.declare(c, SymbolKind.SOURCE)
-    for t in targets:
-        table.declare(t, SymbolKind.TARGET)
-
-    parser = _EquationParser(table, coords, fields)
-    equations = []
+    system = DeterminingSystem.empty(coords, targets, fields)
+    parser = _EquationParser(system.table, coords, fields)
     for text_eq, lineno, column in raw_equations:
         if text_eq.count("=") != 1:
             raise ParseError("an equation needs exactly one '='", lineno, 1)
@@ -234,9 +246,8 @@ def parse_system(text: str) -> DeterminingSystem:
                 f"equation is not homogeneous (constant term {diff[SCALAR]})", lineno, 1)
         if not diff:
             raise ParseError("equation has no jet symbols", lineno, 1)
-        equations.append(LinearPdeEquation(diff))
-
-    return DeterminingSystem(table, coords, targets, fields, equations)
+        system.equations.append(LinearPdeEquation(diff))
+    return system
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +266,8 @@ def total_derivative(eq: LinearPdeEquation, a: int,
     return LinearPdeEquation(terms)
 
 
-def _prolongations(sys: DeterminingSystem) -> Iterator[list[LinearPdeEquation]]:
-    """The rows of jet order 0, 1, 2, ...: every D^A E of that order, one per normal key.
+def _rows_to(sys: DeterminingSystem, n: int) -> list[list[LinearPdeEquation]]:
+    """The rows of jet order 0..n, each a D^A E, one per normal key; new orders are derived.
 
     Each front entry is a D^A E with the last coordinate it was differentiated
     by, and is differentiated only by that coordinate and later ones, so each
@@ -266,13 +277,13 @@ def _prolongations(sys: DeterminingSystem) -> Iterator[list[LinearPdeEquation]]:
     their normal key, and of those sharing a key the one kept has a constant
     pivot coefficient or else the first pivot coefficient by text.
     """
-    front: list[tuple[LinearPdeEquation, int]] = []
-    for k in count():
-        front = [(total_derivative(eq, a, sys), a)
-                 for eq, last in front for a in range(last, sys.dim)]
-        front += [(eq, 0) for eq in sys.equations if eq.order == k]
+    state = sys._prolongation
+    for k in range(len(state.rows), n + 1):
+        state.front = [(total_derivative(eq, a, sys), a)
+                       for eq, last in state.front for a in range(last, sys.dim)]
+        state.front += [(eq, 0) for eq in sys.equations if eq.order == k]
         by_pivot: dict[McGenerator, list[LinearPdeEquation]] = {}
-        for eq, _ in front:
+        for eq, _ in state.front:
             by_pivot.setdefault(eq.pivot(), []).append(eq)
         rows = []
         for pivot in sorted(by_pivot, key=McGenerator.sort_key):
@@ -287,7 +298,8 @@ def _prolongations(sys: DeterminingSystem) -> Iterator[list[LinearPdeEquation]]:
                 if key not in kept or rank < kept[key][0]:
                     kept[key] = (rank, eq)
             rows += [kept[key][1] for key in sorted(kept, key=_key_text)]
-        yield rows
+        state.rows.append(rows)
+    return state.rows[:n + 1]
 
 
 def _with_equations(sys: DeterminingSystem, rows) -> DeterminingSystem:
@@ -299,7 +311,7 @@ def prolong(sys: DeterminingSystem, n: int) -> DeterminingSystem:
     if n < sys.order:
         raise InvalidOrderError(
             f"prolongation order {n} below system order {sys.order}")
-    return _with_equations(sys, chain.from_iterable(islice(_prolongations(sys), n + 1)))
+    return _with_equations(sys, chain.from_iterable(_rows_to(sys, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +329,6 @@ class SolvedSourceRelations:
     parametric: list[McGenerator]
     assumptions: list[ScalarExpr]
     stable: bool = True
-
-    def shape_key(self):
-        return frozenset(
-            (p, frozenset(rhs.items()))
-            for p, rhs in self.solved.items())
 
 
 def _parametric(dim: int, order: int, solved) -> list[McGenerator]:
@@ -366,31 +373,30 @@ def solve_to_order(sys: DeterminingSystem, order: int,
     new low-order relations when the system is prolonged further; if the
     shape is still changing at the cap the result is flagged unstable.
 
-    Each step feeds only the rows of the new order to the forward elimination
-    kept from the step before; only pivots of order <= ``order`` are
-    back-substituted.  The result equals prolonging and reducing from scratch
-    at every order, genericity ledger included.
+    Elimination only appends pivots and never rewrites a row, so that of the
+    rows of order <= k is the first ``sizes[k]`` pivots of the system's one
+    forward elimination, however deep an earlier solve went.  A step changes
+    the solved shape exactly when it adds a pivot of order <= ``order``; the
+    loop stops on that count and back-substitutes once.  The result equals
+    prolonging and reducing from scratch at every order, ledger included.
     """
     start = max(order, sys.order)
     cap = max(cap if cap is not None else order + 2, start + 1)
-    forward: dict = {}
-    rows: list[LinearPdeEquation] = []
-    prev_shape = None
-    for k, batch in enumerate(_prolongations(sys)):
-        rows += batch
-        eliminate_forward(forward, (eq.terms for eq in batch), McGenerator.sort_key)
-        if k < start:
-            continue
-        solved = back_substitute(forward, McGenerator.sort_key,
-                                 [p for p in forward if p.index.order <= order])
-        sol = SolvedSourceRelations(_with_equations(sys, rows), order, solved,
-                                    _parametric(sys.dim, order, forward),
-                                    list(sys.table.assumed_nonzero))
-        shape = sol.shape_key()
-        if shape == prev_shape or k == cap:
-            sol.stable = shape == prev_shape
-            return sol
-        prev_shape = shape
+    state = sys._prolongation
+    for k in range(start + 1, cap + 1):
+        for batch in _rows_to(sys, k)[len(state.sizes):]:
+            eliminate_forward(state.forward, (eq.terms for eq in batch), McGenerator.sort_key)
+            state.sizes.append(len(state.forward))
+        added = islice(state.forward, state.sizes[k - 1], state.sizes[k])
+        stable = all(p.index.order > order for p in added)
+        if stable:
+            break
+    forward = dict(islice(state.forward.items(), state.sizes[k]))
+    solved = back_substitute(forward, McGenerator.sort_key,
+                             [p for p in forward if p.index.order <= order])
+    return SolvedSourceRelations(_with_equations(sys, chain.from_iterable(state.rows[:k + 1])),
+                                 order, solved, _parametric(sys.dim, order, forward),
+                                 list(sys.table.assumed_nonzero), stable)
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +421,8 @@ def lift(solved: SolvedSourceRelations) -> LiftedRelations:
     sys = solved.system
     rename = {sys.source_symbol(a): sys.target_symbol(a) for a in range(sys.dim)}
 
-    def lift_coeff(c: ScalarExpr) -> ScalarExpr:
-        return c.substitute(rename)
-
-    lifted = {p: OneForm({j: lift_coeff(v) for j, v in rhs.items()})
+    lifted = {p: OneForm({j: v.substitute(rename) for j, v in rhs.items()})
               for p, rhs in solved.solved.items()}
-    assumptions = [lift_coeff(a) for a in solved.assumptions]
+    assumptions = [a.substitute(rename) for a in solved.assumptions]
     return LiftedRelations(sys, solved.order, lifted, list(solved.parametric),
                            assumptions, solved.stable)

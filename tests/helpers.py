@@ -49,5 +49,10 @@ def expand_in_basis(v: JetVectorField, sol_parametric: list) -> dict:
     return {p: v.pair(p) for p in sol_parametric if p.index.order <= v.truncation}
 
 
+def shape_key(sol) -> frozenset:
+    """A solve's relations as a set: two solves with the same set have one solved shape."""
+    return frozenset((p, frozenset(rhs.items())) for p, rhs in sol.solved.items())
+
+
 def wedge_one_two(alpha: OneForm, omega: TwoForm) -> ThreeForm:
     return wedge_two_one(omega, alpha)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mcforge import cli
+from mcforge import cli, detsys, jetalg
 from mcforge.cli import main
 
 from conftest import bundled
@@ -99,6 +99,46 @@ def test_prolong(capsys):
     assert code == 0
     assert "zeta_z - x*eta_y = 0" in out
     assert "zeta_xz - x*eta_xy - eta_y = 0" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["prolong", "@cartan_essential.dsys", "--order", "2", "--cap", "3"],
+    ["verify-coframe", "@cartan_example2.coframe", "--cap", "3"],
+])
+def test_cap_refused_where_nothing_reads_it(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --cap 3" in err
+    assert "Traceback" not in err
+
+
+def test_each_order_is_derived_once_per_system(monkeypatch, capsys):
+    # check-d2 solves at n + 1 and again at n + 2, and both solves extend
+    # one prolongation; each solve used to derive every order from 0 again
+    calls = []
+    derive = detsys.total_derivative
+    monkeypatch.setattr(detsys, "total_derivative",
+                        lambda *args: calls.append(args) or derive(*args))
+    for argv, code, derived in [
+        (["check-d2", "@cartan_essential.dsys", "--order", "2"], 0, 157),
+        (["check-d2", "@janet.dsys", "--order", "2"], 1, 234),
+        (["structure", "@janet.dsys", "--order", "4", "--cap", "7"], 0, 348),
+    ]:
+        calls.clear()
+        assert run(capsys, *argv)[0] == code
+        assert len(calls) == derived, argv
+    # a second basis on the same system, as after a degenerate point is
+    # redrawn, reads the prolongation the first one derived
+    system = detsys.parse_system(bundled("cartan_essential.dsys"))
+    point = jetalg.default_point(system)
+    calls.clear()
+    first = jetalg.solution_basis(system, point, 2)
+    assert calls
+    calls.clear()
+    assert jetalg.solution_basis(system, point, 2) == first
+    assert not calls
 
 
 def test_check_d2_pass(capsys):
