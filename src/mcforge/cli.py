@@ -84,30 +84,39 @@ def _generator_count(m: int, n: int) -> int | None:
     return m * c
 
 
-def _check_size(m: int, n: int) -> None:
+def _check_size(m: int, n: int, what: str | None = None) -> None:
+    """Refuse ``what``, by default ``order n``, when the generators of order <= n + 1
+    are more than MAX_GENERATORS."""
     count = _generator_count(m, n)
     if count is None or count > MAX_GENERATORS:
         shown = f"more than {_COUNT_SHOWN}" if count is None else count
         raise McforgeError(
-            f"order {n} in dimension {m} needs {shown} Maurer-Cartan generators, "
-            f"above the limit of {MAX_GENERATORS}")
+            f"{what or f'order {n}'} in dimension {m} needs {shown} Maurer-Cartan "
+            f"generators, above the limit of {MAX_GENERATORS}")
 
 
 def _system(args) -> detsys.DeterminingSystem:
     """The command's determining system: its input's, or for ``diffeo`` one with no equations.
 
-    A command whose order needs more than MAX_GENERATORS generators is
-    refused here, before anything is prolonged or solved.
+    A command whose order, or whose explicit ``--cap`` C (a solve may prolong
+    to order C), needs more than MAX_GENERATORS generators is refused here,
+    before anything is prolonged or solved.
     """
+    system = None
     if args.command != "diffeo":
         system = detsys.parse_system(_read_input(args.input))
-        _check_size(len(system.coords), args.order)
-        return system
-    if args.dim < 1:
+        m = len(system.coords)
+    elif args.dim < 1:
         raise McforgeError("--dim must be >= 1")
-    _check_size(args.dim, args.order)
-    coords = (["x", "y", "z"][:args.dim] if args.dim <= 3
-              else [f"z{i+1}" for i in range(args.dim)])
+    else:
+        m = args.dim
+    _check_size(m, args.order)
+    cap = getattr(args, "cap", None)
+    if cap is not None:
+        _check_size(m, cap - 1, f"--cap {cap}")
+    if system is not None:
+        return system
+    coords = ["x", "y", "z"][:m] if m <= 3 else [f"z{i+1}" for i in range(m)]
     return detsys.DeterminingSystem.empty(coords)
 
 

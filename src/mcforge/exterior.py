@@ -3,6 +3,13 @@
 Generators are the Maurer-Cartan symbols mu^a_A.  Wedge monomials are stored
 on strictly ordered generator tuples; the evaluation convention is
 (alpha ^ beta)(v, w) = alpha(v) beta(w) - alpha(w) beta(v).
+
+A product of general forms is sorted with its sign by ``_wedge_into``.  Two
+hot paths avoid it.  ``d_apply_two`` works on ``_RankedRules``: every
+generator of a rule set is numbered once in ``sort_key`` order, so d of a
+two-form places one integer rank into an already sorted rank pair.
+Reduction passes a monomial that is strictly increasing and has no dependent
+generator through as it is, since substituting nothing changes nothing.
 """
 
 from __future__ import annotations
@@ -188,12 +195,23 @@ def _solved_map(rel) -> Mapping[McGenerator, OneForm]:
     return solved
 
 
+def _increasing(gens: tuple) -> bool:
+    keys = [g.sort_key() for g in gens]
+    return all(map(tuple.__lt__, keys, keys[1:]))
+
+
 def _reduce(form, rel):
-    # substitute every dependent generator of each monomial, then re-wedge
+    # a canonical monomial free of dependent generators is already reduced;
+    # any other has its dependent generators substituted and is re-wedged
     solved = _solved_map(rel)
+    dependent = solved.keys()
     out: dict = {}
     for k, c in form.terms.items():
-        _wedge_into(out, c, *(solved.get(g, g) for g in _gens(k)))
+        gens = _gens(k)
+        if _increasing(gens) and (not solved or dependent.isdisjoint(gens)):
+            accumulate(out, k, c)
+        else:
+            _wedge_into(out, c, *(solved.get(g, g) for g in gens))
     return type(form)(out)
 
 
@@ -220,7 +238,7 @@ def reduce_form(form, rel):
     raise TypeError(f"cannot reduce {type(form).__name__}")
 
 
-def _rule(rules: Mapping[McGenerator, TwoForm], g: McGenerator) -> TwoForm:
+def _rule(rules: Mapping, g: McGenerator):
     dg = rules.get(g)
     if dg is None:
         raise MissingRuleError(f"no structure equation for generator {g}")
@@ -235,11 +253,66 @@ def d_apply(alpha: OneForm, rules: Mapping[McGenerator, TwoForm], rel) -> TwoFor
     return reduce_two(TwoForm(out), rel)
 
 
-def d_apply_two(omega: TwoForm, rules: Mapping[McGenerator, TwoForm], rel) -> ThreeForm:
-    """Graded Leibniz rule: d(f g^h) = f (dg^h - g^dh) on the target fiber."""
+class _RankedRules:
+    """A rule set d g = sum c p ^ q with every generator replaced by its rank.
+
+    The ranks number all generators of the rules in ``sort_key`` order, so
+    two ranks compare as their generators do.  Each rule is stored once as
+    (p, q, c) triples with p < q: an unsorted monomial is sorted with its
+    sign, and one with a repeated generator is dropped.  ``rules`` maps each
+    generator with a rule to its rank and its triples.
+    """
+
+    __slots__ = ("gens", "rules")
+
+    def __init__(self, rules: Mapping[McGenerator, TwoForm]):
+        gens = set(rules)
+        for form in rules.values():
+            for key in form.terms:
+                gens.update(key)
+        self.gens = sorted(gens, key=McGenerator.sort_key)
+        rank = {g: i for i, g in enumerate(self.gens)}
+        self.rules = {}
+        for g, form in rules.items():
+            canonical: dict = {}
+            for (a, b), c in form.terms.items():
+                p, q = rank[a], rank[b]
+                if p < q:
+                    accumulate(canonical, (p, q), c)
+                elif q < p:
+                    accumulate(canonical, (q, p), -c)
+            self.rules[g] = (rank[g], [(p, q, c) for (p, q), c in canonical.items()])
+
+
+def d_apply_two(omega: TwoForm, rules: Mapping[McGenerator, TwoForm] | _RankedRules,
+                rel) -> ThreeForm:
+    """Graded Leibniz rule: d(f g^h) = f (dg^h - g^dh) on the target fiber.
+
+    ``rules`` gives d of each generator, as a mapping or already ranked; a
+    mapping is ranked here.  Each product of a rule's sorted rank pair with
+    one rank is sorted by at most two integer comparisons, and the sum is
+    mapped back to generator keys before the relations reduce it.
+    """
+    ranked = rules if isinstance(rules, _RankedRules) else _RankedRules(rules)
     out: dict = {}
-    for (g, h), c in omega.terms.items():
-        dg, dh = _rule(rules, g), _rule(rules, h)
-        _wedge_into(out, c, dg, h)
-        _wedge_into(out, -c, g, dh)
-    return reduce_three(ThreeForm(out), rel)
+    for (a, b), c in omega.terms.items():
+        g, dg = _rule(ranked.rules, a)  # g and h are ranks
+        h, dh = _rule(ranked.rules, b)
+        neg = -c
+        for p, q, v in dg:  # c p^q^h: h moves left past q, then past p
+            if q < h:
+                accumulate(out, (p, q, h), c * v)
+            elif p < h < q:
+                accumulate(out, (p, h, q), neg * v)
+            elif h < p:
+                accumulate(out, (h, p, q), c * v)
+        for p, q, v in dh:  # -c g^p^q: g moves right past p, then past q
+            if g < p:
+                accumulate(out, (g, p, q), neg * v)
+            elif p < g < q:
+                accumulate(out, (p, g, q), c * v)
+            elif q < g:
+                accumulate(out, (p, q, g), neg * v)
+    gens = ranked.gens
+    return reduce_three(ThreeForm({(gens[i], gens[j], gens[k]): v
+                                   for (i, j, k), v in out.items()}), rel)

@@ -317,6 +317,10 @@ class ScalarExpr:
         return _in_field(a, field), _in_field(b, field), table
 
     def __add__(self, value):
+        if type(value) is ScalarExpr:
+            a, b = self.value, value.value
+            if type(a) is Fraction and type(b) is Fraction:
+                return ScalarExpr(a + b, self.table or value.table)
         a, b, table = self._operands(value)
         return ScalarExpr(a + b, table)
 
@@ -331,6 +335,10 @@ class ScalarExpr:
         return ScalarExpr(b - a, table)
 
     def __mul__(self, value):
+        if type(value) is ScalarExpr:
+            a, b = self.value, value.value
+            if type(a) is Fraction and type(b) is Fraction:
+                return ScalarExpr(a * b, self.table or value.table)
         other = _coerce(value, self.table)
         a, b = self.value, other.value
         if type(a) is Fraction and a and type(b) is not Fraction:

@@ -15,11 +15,11 @@ from .exterior import (
     McGenerator,
     ThreeForm,
     TwoForm,
-    _wedge_into,
+    _RankedRules,
     d_apply_two,
     reduce_two,
 )
-from .kernel import InvalidOrderError, McforgeError, ScalarExpr
+from .kernel import InvalidOrderError, McforgeError, ScalarExpr, accumulate
 from .multiindex import MultiIndex, multinomial, sub_multisets
 
 
@@ -33,7 +33,12 @@ def diffeo_structure_equation(a: int, C: MultiIndex, m: int) -> TwoForm:
     for A, B in sub_multisets(C):
         weight = ScalarExpr(multinomial(C, A))
         for b in range(m):
-            _wedge_into(terms, weight, McGenerator(a, A.append(b)), McGenerator(b, B))
+            g, h = McGenerator(a, A.append(b)), McGenerator(b, B)
+            kg, kh = g.sort_key(), h.sort_key()
+            if kg < kh:
+                accumulate(terms, (g, h), weight)
+            elif kh < kg:
+                accumulate(terms, (h, g), -weight)
     return TwoForm(terms)
 
 
@@ -113,7 +118,8 @@ def d_squared_residues(eqs: StructureEquationSet, generators: list[McGenerator],
     """d(d g) for each generator: d of eqs' equation for g, with ``rules`` (eqs
     itself when omitted) giving d of each generator on its right-hand side."""
     rules = eqs if rules is None else rules
-    return {g: d_apply_two(eqs.equations[g], rules.equations, rules.relations)
+    ranked = _RankedRules(rules.equations)
+    return {g: d_apply_two(eqs.equations[g], ranked, rules.relations)
             for g in generators}
 
 

@@ -3,7 +3,16 @@
 import itertools
 from typing import Mapping
 
-from mcforge.exterior import OneForm, ThreeForm, TwoForm, wedge_two_one
+from mcforge.exterior import (
+    OneForm,
+    ThreeForm,
+    TwoForm,
+    _gens,
+    _rule,
+    _solved_map,
+    _wedge_into,
+    wedge_two_one,
+)
 from mcforge.jetalg import JacobiReport, JetVectorField, _point_map, bracket
 from mcforge.kernel import ScalarExpr
 from mcforge.structure import StructureEquationSet
@@ -56,3 +65,23 @@ def shape_key(sol) -> frozenset:
 
 def wedge_one_two(alpha: OneForm, omega: TwoForm) -> ThreeForm:
     return wedge_two_one(omega, alpha)
+
+
+def reduce_by_wedge(form, rel):
+    """``exterior.reduce_form`` with every monomial substituted and re-sorted."""
+    solved = _solved_map(rel)
+    out: dict = {}
+    for k, c in form.terms.items():
+        _wedge_into(out, c, *(solved.get(g, g) for g in _gens(k)))
+    return type(form)(out)
+
+
+def d_apply_two_by_wedge(omega: TwoForm, rules, rel) -> ThreeForm:
+    """``exterior.d_apply_two`` on generator keys: each product dg^h and g^dh
+    is sorted by ``_wedge_into``, and every monomial is reduced."""
+    out: dict = {}
+    for (g, h), c in omega.terms.items():
+        dg, dh = _rule(rules, g), _rule(rules, h)
+        _wedge_into(out, c, dg, h)
+        _wedge_into(out, -c, g, dh)
+    return reduce_by_wedge(ThreeForm(out), rel)

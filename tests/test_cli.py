@@ -403,6 +403,37 @@ def test_astronomical_generator_count_exit_2_at_once(capsys):
                    "1000000000000000000 Maurer-Cartan generators, " + GUARD)
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("structure", ["@janet.dsys"]),
+    ("diffeo", ["--dim", "3"]),
+    ("lift", ["@janet.dsys"]),
+    ("check-d2", ["@janet.dsys"]),
+    ("check-duality", ["@janet.dsys"]),
+    ("bracket", ["@janet.dsys"]),
+])
+def test_cap_above_the_generator_limit_exit_2_at_once(capsys, command, extra):
+    # a solve may prolong to the cap: 3 C(43, 40) generators at --cap 40
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, *extra, "--order", "4", "--cap", "40")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == ("error: --cap 40 in dimension 3 needs 37023 Maurer-Cartan "
+                   "generators, " + GUARD)
+
+
+def test_cap_limit_boundary(capsys):
+    # in dimension 1 a cap C allows C + 1 generators
+    assert run(capsys, "diffeo", "--dim", "1", "--order", "1", "--cap", "499")[0] == 0
+    code, _, err = run(capsys, "diffeo", "--dim", "1", "--order", "1", "--cap", "500")
+    assert code == 2
+    assert err == "error: --cap 500 in dimension 1 needs 501 Maurer-Cartan generators, " + GUARD
+    code, _, err = run(capsys, "structure", "@janet.dsys", "--order", "1",
+                       "--cap", str(10 ** 18))
+    assert code == 2
+    assert err == (f"error: --cap {10 ** 18} in dimension 3 needs more than "
+                   "1000000000000000000 Maurer-Cartan generators, " + GUARD)
+
+
 def test_generator_count_is_the_binomial_formula():
     for m in range(1, 6):
         for n in range(30):

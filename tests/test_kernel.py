@@ -241,3 +241,36 @@ def test_expr_is_sympy_canonical(table):
     x = table.expr("x")
     e = (x * x - 1) / (x - 1)
     assert e.expr == sp.Symbol("x") + 1
+
+
+def test_constant_sum_and_product_take_the_fraction_path(table, monkeypatch):
+    half, third = ScalarExpr(Fraction(1, 2), table), ScalarExpr(Fraction(1, 3))
+    x = table.expr("x")
+    # the same constants built through the field: (x + 1/2) + (1/3 - x)
+    by_field = (x + half) + (third - x)
+    built, operands = [], []
+    init, coerce = ScalarExpr.__init__, kernel._coerce
+    monkeypatch.setattr(ScalarExpr, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    monkeypatch.setattr(kernel, "_coerce",
+                        lambda *args: operands.append(args) or coerce(*args))
+    total, product = half + third, third * half
+    assert (len(built), operands) == (2, [])  # one ScalarExpr each, no coercion
+    # the table is the first operand's, else the second's
+    assert total.table is table and product.table is table
+    assert (third + third).table is None
+    assert total == by_field and hash(total) == hash(by_field)
+    assert total.value == Fraction(5, 6) and product.value == Fraction(1, 6)
+
+
+def test_mixed_constant_operands_keep_their_paths(table, monkeypatch):
+    x = table.expr("x")
+    scaled = []
+    original = kernel._scaled
+    monkeypatch.setattr(kernel, "_scaled",
+                        lambda *args, **kwargs: scaled.append(args) or original(*args, **kwargs))
+    assert str(ScalarExpr(2) * x) == "2*x" and str(x * ScalarExpr(3)) == "3*x"
+    assert len(scaled) == 2
+    assert (ScalarExpr(0) * x).is_zero and len(scaled) == 2  # zero takes the field path
+    assert str(ScalarExpr(Fraction(1, 2)) + x) == "x + 1/2"
+    assert ScalarExpr(1) + 2 == ScalarExpr(3)  # a plain number is coerced as before
