@@ -33,9 +33,8 @@ from .kernel import (
     Symbol,
     SymbolKind,
     SymbolTable,
-    parse_expr,
 )
-from .multiindex import MultiIndex, delete_one, factorial_weight, multinomial, sub_multisets
+from .multiindex import MultiIndex, delete_one, multinomial, sub_multisets
 from .structure import (
     StructureEquationSet,
     check_d_squared,
@@ -53,7 +52,7 @@ __all__ = [
     "bracket", "bracket_monomial", "check_duality", "jacobi_check",
     "solution_basis", "DegeneratePointError", "McforgeError", "ParseError",
     "ScalarExpr", "Symbol", "SymbolKind", "SymbolTable",
-    "parse_expr", "MultiIndex", "delete_one", "factorial_weight", "multinomial",
+    "MultiIndex", "delete_one", "multinomial",
     "sub_multisets", "StructureEquationSet", "check_d_squared",
     "diffeo_structure_equation", "pseudo_group_structure", "__version__",
 ]

@@ -13,6 +13,7 @@ from fractions import Fraction
 from importlib import resources
 
 from . import coordforms, detsys, jetalg, render, structure
+from .exterior import MissingRuleError
 from .kernel import McforgeError
 
 
@@ -140,8 +141,20 @@ def cmd_prolong(args) -> int:
 
 def cmd_check_d2(args) -> int:
     system = _system(args)
-    eqs = structure.pseudo_group_structure(system, args.order, cap=args.cap)
-    report = structure.check_d_squared(eqs, cap=args.cap)
+    n = args.order
+    eqs = structure.pseudo_group_structure(system, n, cap=args.cap)
+    try:
+        report = structure.check_d_squared(eqs, cap=args.cap)
+    except MissingRuleError as exc:
+        # a generator on a right-hand side of eqs is missing from the rules
+        # only when the solve at n + 2 solved for it
+        cap = "the default cap" if args.cap is None else f"--cap {args.cap}"
+        gen = render.gen_text(exc.generator, system.coords, system.targets)
+        raise McforgeError(
+            f"cannot check d^2 at order {n} with {cap}: the solved shape changed "
+            f"between orders {n + 1} and {n + 2} ({gen} is parametric when solved "
+            f"to order {n + 1} but dependent when solved to order {n + 2}, so it "
+            f"has no structure equation); raise --cap") from None
     if args.format == "json":
         obj = {"order": args.order, "ok": report.ok,
                "failures": [render.gen_text(g, system.coords, system.targets)

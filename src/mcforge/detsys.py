@@ -69,10 +69,16 @@ def _key_text(key) -> str:
 
 class _Prolongation:
     """Rows by jet order, the last order's front, the forward elimination and its pivot
-    count after each order; it holds no system, so it makes no cycle for the GC."""
+    count after each order; it holds no system, so it makes no cycle for the GC.
+
+    ``reduced`` maps (g, k) to the reduced structure equation of generator g,
+    where k is the number of solved pivots of order <= |g| + 1
+    (``structure.pseudo_group_structure`` fills it).
+    """
 
     def __init__(self):
         self.rows, self.front, self.forward, self.sizes = [], [], {}, []
+        self.reduced = {}
 
 
 @dataclass

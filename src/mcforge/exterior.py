@@ -28,6 +28,10 @@ class NotSolvedFormError(McforgeError):
 class MissingRuleError(McforgeError):
     """No structure equation available for a generator during d application."""
 
+    def __init__(self, generator):
+        self.generator = generator
+        super().__init__(f"no structure equation for generator {generator}")
+
 
 class McGenerator(NamedTuple):
     """The key (component a, multi-index A).
@@ -241,7 +245,7 @@ def reduce_form(form, rel):
 def _rule(rules: Mapping, g: McGenerator):
     dg = rules.get(g)
     if dg is None:
-        raise MissingRuleError(f"no structure equation for generator {g}")
+        raise MissingRuleError(g)
     return dg
 
 

@@ -1,13 +1,14 @@
 """Exact scalar arithmetic: rational functions over QQ in declared symbols.
 
 Every coefficient anywhere in the engine is a ScalarExpr, held in one of two
-exact representations.  A rational constant, which nearly every value is, is a
-``fractions.Fraction``.  Any other value is an element of the one
-rational-function field over QQ (``sympy.polys.fields``) that its SymbolTable
-builds in the declared symbols.  The field keeps numerator and denominator
-coprime with normalized signs, so equal values are structurally identical:
-equality is decidable without simplifying, which is what makes row reduction
-and all downstream verification exact.
+exact representations.  A rational constant, which nearly every value is, is
+an ``int`` when it is integral, else a ``fractions.Fraction``.  Any other value
+is an element of the one rational-function field over QQ
+(``sympy.polys.fields``) that its SymbolTable builds in the declared symbols.
+The field keeps numerator and denominator coprime with normalized signs, so
+equal values are structurally identical: equality is decidable without
+simplifying, which is what makes row reduction and all downstream
+verification exact.
 
 No arithmetic goes through sympy expressions or sympy's simplifier.  A sympy
 ``Expr`` appears only at the edges: ``ScalarExpr.expr`` (rendering, and the
@@ -181,18 +182,32 @@ def _coerce(value, table):
     raise TypeError(f"cannot interpret {value!r} as a ScalarExpr")
 
 
+# the types of a constant ScalarExpr value: ``type(value) in _CONSTANT``
+_CONSTANT = (int, Fraction)
+
+
+def _constant(q: Fraction):
+    """A rational constant as a ScalarExpr value: its numerator when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
 def _in_field(value, field: FracField):
     """A ScalarExpr's value as an operand of ``field``'s arithmetic."""
+    if type(value) is int:
+        return QQ(value)
     if type(value) is Fraction:
         return QQ(value.numerator, value.denominator)
     return value if value.field is field else value.set_field(field)
 
 
 def _field_value(f: FracElement, table: SymbolTable | None):
-    """A canonical field element as a ScalarExpr value: a Fraction when it is constant."""
+    """A canonical field element as a ScalarExpr value: an int or a Fraction when it
+    is constant."""
     numer, denom = f.numer, f.denom
     if numer.is_ground and denom.is_ground:
         q = numer.LC / denom.LC
+        if q.denominator == 1:
+            return int(q.numerator)
         return Fraction(int(q.numerator), int(q.denominator))
     if table is None:
         raise McforgeError(f"{f} is not constant and has no symbol table")
@@ -204,8 +219,8 @@ def _content(p) -> int:
     return gcd(*[int(c.numerator) for c in p.itercoeffs()])
 
 
-def _scaled(f: FracElement, q: Fraction, table: SymbolTable, invert: bool = False):
-    """q * f, or q / f with ``invert``, for a non-constant f and a nonzero q.
+def _scaled(f: FracElement, q: int | Fraction, table: SymbolTable, invert: bool = False):
+    """q * f, or q / f with ``invert``, for a non-constant f and a nonzero constant q.
 
     A canonical field element has coprime numerator and denominator with
     integer coefficients, no common integer content, and a denominator whose
@@ -226,17 +241,15 @@ def _scaled(f: FracElement, q: Fraction, table: SymbolTable, invert: bool = Fals
                                       denom.mul_ground(QQ(s, g))), table)
 
 
-_ZERO = Fraction(0)
-
-
 class ScalarExpr:
     """An exact scalar: a rational constant or a rational function over QQ.
 
-    A constant is a ``Fraction``, and its arithmetic never calls sympy.  Any
-    other value is an element of its symbol table's ``field``, kept canonical
-    (numerator and denominator coprime, signs fixed by the generator order).
-    Equality is structural, so a constant never equals a non-constant.
-    ``expr``, the value as a sympy expression, is built on first use.
+    A constant is an ``int`` when it is integral and a ``Fraction`` otherwise,
+    and its arithmetic never calls sympy.  Any other value is an element of
+    its symbol table's ``field``, kept canonical (numerator and denominator
+    coprime, signs fixed by the generator order).  Equality is structural, so
+    a constant never equals a non-constant.  ``expr``, the value as a sympy
+    expression, is built on first use.
     """
 
     __slots__ = ("value", "table", "_expr")
@@ -244,14 +257,16 @@ class ScalarExpr:
     def __init__(self, expr, table: SymbolTable | None = None):
         self.table = table
         self._expr = None
-        if type(expr) is Fraction:
+        if type(expr) is int:
             value = expr
+        elif type(expr) is Fraction:
+            value = _constant(expr)
         elif isinstance(expr, FracElement):
             value = _field_value(expr, table)
-        elif isinstance(expr, (int, Fraction)):
-            value = Fraction(expr)
+        elif isinstance(expr, _CONSTANT):
+            value = _constant(Fraction(expr))
         elif isinstance(expr, sp.Expr) and expr.is_Rational:
-            value = Fraction(int(expr.p), int(expr.q))
+            value = _constant(Fraction(int(expr.p), int(expr.q)))
             self._expr = expr
         elif isinstance(expr, sp.Expr) and table is not None:
             try:
@@ -272,7 +287,7 @@ class ScalarExpr:
         if self._expr is None:
             value = self.value
             self._expr = (sp.Rational(value.numerator, value.denominator)
-                          if type(value) is Fraction else value.as_expr())
+                          if type(value) in _CONSTANT else value.as_expr())
         return self._expr
 
     @property
@@ -281,24 +296,27 @@ class ScalarExpr:
 
     @property
     def is_constant(self) -> bool:
-        return type(self.value) is Fraction
+        return type(self.value) in _CONSTANT
 
     def as_fraction(self) -> Fraction:
-        if type(self.value) is not Fraction:
+        value = self.value
+        if type(value) is int:
+            return Fraction(value)
+        if type(value) is not Fraction:
             raise McforgeError(f"{self} is not a rational constant")
-        return self.value
+        return value
 
     @property
     def degree(self) -> int:
         """Total degree of the numerator or the denominator, whichever is larger."""
-        if type(self.value) is Fraction:
+        if type(self.value) in _CONSTANT:
             return 0
         return max(sum(m) for p in (self.value.numer, self.value.denom)
                    for m in p.itermonoms())
 
     @property
     def free_names(self) -> set[str]:
-        if type(self.value) is Fraction:
+        if type(self.value) in _CONSTANT:
             return set()
         f = self.value
         exponents = zip(*f.numer.itermonoms(), *f.denom.itermonoms())
@@ -307,11 +325,11 @@ class ScalarExpr:
     # -- arithmetic ----------------------------------------------------
 
     def _operands(self, value):
-        """(a, b, table): self and value as two Fractions or as two field operands."""
+        """(a, b, table): self and value as two constants or as two field operands."""
         other = _coerce(value, self.table)
         table = self.table or other.table
         a, b = self.value, other.value
-        if type(a) is Fraction and type(b) is Fraction:
+        if type(a) in _CONSTANT and type(b) in _CONSTANT:
             return a, b, table
         field = table.field
         return _in_field(a, field), _in_field(b, field), table
@@ -319,7 +337,7 @@ class ScalarExpr:
     def __add__(self, value):
         if type(value) is ScalarExpr:
             a, b = self.value, value.value
-            if type(a) is Fraction and type(b) is Fraction:
+            if type(a) in _CONSTANT and type(b) in _CONSTANT:
                 return ScalarExpr(a + b, self.table or value.table)
         a, b, table = self._operands(value)
         return ScalarExpr(a + b, table)
@@ -337,13 +355,14 @@ class ScalarExpr:
     def __mul__(self, value):
         if type(value) is ScalarExpr:
             a, b = self.value, value.value
-            if type(a) is Fraction and type(b) is Fraction:
+            if type(a) in _CONSTANT and type(b) in _CONSTANT:
                 return ScalarExpr(a * b, self.table or value.table)
         other = _coerce(value, self.table)
         a, b = self.value, other.value
-        if type(a) is Fraction and a and type(b) is not Fraction:
+        a_constant, b_constant = type(a) in _CONSTANT, type(b) in _CONSTANT
+        if a_constant and a and not b_constant:
             return _scaled(b, a, self.table or other.table)
-        if type(b) is Fraction and b and type(a) is not Fraction:
+        if b_constant and b and not a_constant:
             return _scaled(a, b, self.table or other.table)
         a, b, table = self._operands(other)
         return ScalarExpr(a * b, table)
@@ -355,10 +374,14 @@ class ScalarExpr:
         a, b = self.value, other.value
         if not b:
             raise ZeroDivisionFunctionError("division by the zero function")
-        if type(a) is Fraction and a and type(b) is not Fraction:
-            return _scaled(b, a, self.table or other.table, invert=True)
-        if type(b) is Fraction and type(a) is not Fraction:
-            return _scaled(a, 1 / b, self.table or other.table)
+        table = self.table or other.table
+        a_constant, b_constant = type(a) in _CONSTANT, type(b) in _CONSTANT
+        if a_constant and b_constant:
+            return ScalarExpr(Fraction(a, b), table)
+        if b_constant:
+            return _scaled(a, Fraction(1, b), table)
+        if a_constant and a:
+            return _scaled(b, a, table, invert=True)
         a, b, table = self._operands(other)
         return ScalarExpr(a / b, table)
 
@@ -374,7 +397,11 @@ class ScalarExpr:
         value = self.value
         if exponent < 0 and self.is_zero:
             raise ZeroDivisionFunctionError("negative power of the zero function")
-        if type(value) is Fraction or exponent >= 0:
+        if type(value) in _CONSTANT:
+            # an int to a negative power would be a float
+            return ScalarExpr(Fraction(value) ** exponent if exponent < 0
+                              else value ** exponent, self.table)
+        if exponent >= 0:
             return ScalarExpr(value ** exponent, self.table)
         power = value ** -exponent
         return ScalarExpr(power.field.new(power.denom, power.numer), self.table)
@@ -382,8 +409,8 @@ class ScalarExpr:
     # -- calculus ------------------------------------------------------
 
     def diff(self, symbol: Symbol) -> "ScalarExpr":
-        if type(self.value) is Fraction:
-            return ScalarExpr(_ZERO, self.table)
+        if type(self.value) in _CONSTANT:
+            return ScalarExpr(0, self.table)
         table = self.table
         return ScalarExpr(_in_field(self.value, table.field).diff(table.generator(symbol)),
                           table)
@@ -391,7 +418,7 @@ class ScalarExpr:
     def substitute(self, mapping: Mapping[Symbol, "Symbol | ScalarExpr | int | Fraction"]
                    ) -> "ScalarExpr":
         """Replace symbols simultaneously by symbols, rational constants or polynomials."""
-        if type(self.value) is Fraction:
+        if type(self.value) in _CONSTANT:
             return ScalarExpr(self.value, self.table)
         table = self.table
         field = table.field
@@ -420,16 +447,17 @@ class ScalarExpr:
             return NotImplemented
         other = _coerce(value, self.table)
         a, b = self.value, other.value
+        # an int is integral and a Fraction is not, so neither equals the other
         if type(a) is not type(b):
             return False
-        if type(a) is Fraction:
+        if type(a) in _CONSTANT:
             return a == b
         field = self.table.field
         return _in_field(a, field) == _in_field(b, field)
 
     def __hash__(self):
         value = self.value
-        if type(value) is Fraction:
+        if type(value) in _CONSTANT:
             return hash(value)
         return hash(_in_field(value, self.table.field))
 
@@ -654,10 +682,9 @@ class ExprParser:
         """The integer a graded value stands for, as the exponent of '^' at ``op``."""
         if not value:
             return 0
-        c = value.get(SCALAR)
-        if value.keys() != {SCALAR} or not c.is_constant or c.as_fraction().denominator != 1:
+        if value.keys() != {SCALAR} or type(value[SCALAR].value) is not int:
             raise ParseError("exponent must be an integer", op.line, op.col)
-        return int(c.as_fraction())
+        return value[SCALAR].value
 
     def check_power(self, c: ScalarExpr, n: int, op: Token) -> None:
         """Refuse c^n at ``op`` when its result would exceed the power bounds."""
@@ -787,7 +814,3 @@ class ExprParser:
             return value
         raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 
-
-def parse_expr(text: str, table: SymbolTable, line_offset: int = 1) -> ScalarExpr:
-    value = ExprParser(table).parse(text, line_offset)
-    return value[SCALAR] if value else ScalarExpr(0, table)

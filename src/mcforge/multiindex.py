@@ -1,4 +1,4 @@
-"""Multiset multi-indices: factorial weights, splits, multinomials, deletions.
+"""Multiset multi-indices: splits, multinomials, deletions.
 
 A multi-index is an unordered multiset of coordinate positions (0-based),
 matching the symmetry of mixed partial derivatives; (y,z) and (z,y) are the
@@ -57,14 +57,6 @@ class MultiIndex:
 
 
 EMPTY = MultiIndex()
-
-
-def factorial_weight(A: MultiIndex) -> int:
-    """A! = product of factorials of the occurrence counts."""
-    out = 1
-    for c in A.counts().values():
-        out *= math.factorial(c)
-    return out
 
 
 def multinomial(C: MultiIndex, A: MultiIndex) -> int:

@@ -8,6 +8,7 @@ equations one order higher to verify integrability.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .detsys import DeterminingSystem, LiftedRelations, lift, solve_to_order
@@ -68,6 +69,15 @@ def pseudo_group_structure(sys: DeterminingSystem, n: int,
     concern that working order n+1, not the order n of the returned basis:
     Janet's example at n = 4, cap 7 has its final order-4 basis while its
     order-5 relations still change at the cap.
+
+    Each equation is reduced once per system.  d g involves generators of
+    order <= |g| + 1 only, so its reduced form depends only on the solved
+    pivots of that order, and elimination only appends pivots: two solves
+    with as many pivots of order <= |g| + 1 have the same ones.  The system's
+    prolongation keeps each reduced d g under (g, that count), and every
+    later structure set of the same system (``check_d_squared``'s, one at a
+    higher order or cap) looks it up there.  Each set gets its own copies,
+    so editing one never reaches another.
     """
     if n < 0:
         raise InvalidOrderError("order must be >= 0")
@@ -76,13 +86,23 @@ def pseudo_group_structure(sys: DeterminingSystem, n: int,
     relations = lift(solved)
     basis = [g for g in relations.parametric if g.index.order <= n]
 
+    # pivots[q]: the number of solved pivots of order <= q
+    pivots = [0] * (working + 1)
+    for p in solved.solved:
+        pivots[p.index.order] += 1
+    pivots = list(itertools.accumulate(pivots))
+
+    memo = sys._prolongation.reduced
     target_names = set(sys.targets)
     source_names = set(sys.coords)
     equations: dict[McGenerator, TwoForm] = {}
     dependence: dict[McGenerator, list[str]] = {}
     for g in basis:
-        raw = diffeo_structure_equation(g.component, g.index, sys.dim)
-        reduced = reduce_two(raw, relations)
+        key = (g, pivots[g.index.order + 1])
+        reduced = memo.get(key)
+        if reduced is None:
+            raw = diffeo_structure_equation(g.component, g.index, sys.dim)
+            reduced = memo[key] = reduce_two(raw, relations)
         used = set()
         for coeff in reduced.terms.values():
             names = coeff.free_names
@@ -90,7 +110,7 @@ def pseudo_group_structure(sys: DeterminingSystem, n: int,
                 raise InternalReductionError(
                     f"source coordinates {names & source_names} in d{g}")
             used |= names & target_names
-        equations[g] = reduced
+        equations[g] = TwoForm(reduced.terms)
         dependence[g] = sorted(used)
 
     return StructureEquationSet(
@@ -127,7 +147,11 @@ def check_d_squared(eqs: StructureEquationSet, cap: int | None = None) -> D2Repo
     """Verify d(d g) = 0 for the equation eqs gives each basis generator g.
 
     The structure equations one order higher, built here, give d of every
-    generator on a right-hand side.
+    generator on a right-hand side.  Each of them is looked up in the
+    system's reduced equations under (g, number of solved pivots of order
+    <= |g| + 1), see ``pseudo_group_structure``, and reduced only when that
+    key is new.  The rules never come from ``eqs.equations``, so an edited
+    equation in ``eqs`` fails.
     """
     closed = pseudo_group_structure(eqs.system, eqs.order + 1, cap=cap)
     return D2Report(eqs.order, d_squared_residues(eqs, eqs.basis, closed))

@@ -1,6 +1,7 @@
 """Test-only helpers: code that checks the package, which the package never calls."""
 
 import itertools
+import math
 from typing import Mapping
 
 from mcforge.exterior import (
@@ -14,8 +15,23 @@ from mcforge.exterior import (
     wedge_two_one,
 )
 from mcforge.jetalg import JacobiReport, JetVectorField, _point_map, bracket
-from mcforge.kernel import ScalarExpr
+from mcforge.kernel import SCALAR, ExprParser, ScalarExpr, SymbolTable
+from mcforge.multiindex import MultiIndex
 from mcforge.structure import StructureEquationSet
+
+
+def parse_expr(text: str, table: SymbolTable, line_offset: int = 1) -> ScalarExpr:
+    """One scalar expression in the shared input grammar, every name a declared symbol."""
+    value = ExprParser(table).parse(text, line_offset)
+    return value[SCALAR] if value else ScalarExpr(0, table)
+
+
+def factorial_weight(A: MultiIndex) -> int:
+    """A! = product of factorials of the occurrence counts."""
+    out = 1
+    for c in A.counts().values():
+        out *= math.factorial(c)
+    return out
 
 
 def jacobi_by_triples(basis: list[JetVectorField]) -> JacobiReport:

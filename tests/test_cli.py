@@ -114,6 +114,19 @@ def test_cap_refused_where_nothing_reads_it(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_check_d2_refuses_a_shape_that_changes_past_the_cap(capsys):
+    # at cap 5 the solve at order 4 keeps mu^x_XXXX parametric and the solve
+    # at order 5 solves for it, so d^2 of the order-3 equations has no rule
+    code, out, err = run(capsys, "check-d2", "@janet.dsys", "--order", "3", "--cap", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot check d^2 at order 3 with --cap 5: ")
+    assert "the solved shape changed between orders 4 and 5" in err
+    assert "mu^x_{XXXX} is parametric" in err and "raise --cap" in err
+    assert "mu[" not in err and "Traceback" not in err
+    code, out, _ = run(capsys, "check-d2", "@janet.dsys", "--order", "3", "--cap", "7")
+    assert code == 1 and out.startswith("nonzero residue for d^2 ")
+
+
 def test_each_order_is_derived_once_per_system(monkeypatch, capsys):
     # check-d2 solves at n + 1 and again at n + 2, and both solves extend
     # one prolongation; each solve used to derive every order from 0 again

@@ -49,7 +49,7 @@ def assert_same_terms(got, want):
     for key, c in want.terms.items():
         a, b = got.terms[key].value, c.value
         assert type(a) is type(b), key
-        if type(a) is Fraction:
+        if type(a) in (int, Fraction):
             assert (a.numerator, a.denominator) == (b.numerator, b.denominator), key
         else:
             assert (a.numer, a.denom) == (b.numer, b.denom), key

@@ -22,12 +22,12 @@ from mcforge.jetalg import (
     solution_basis,
 )
 from mcforge.kernel import DegeneratePointError, McforgeError, ScalarExpr
-from mcforge.multiindex import MultiIndex, all_indices, factorial_weight
+from mcforge.multiindex import MultiIndex, all_indices
 from mcforge.render import coeff_text
 from mcforge.structure import pseudo_group_structure
 
 from conftest import bundled
-from helpers import expand_in_basis, jacobi_by_triples, structure_constants
+from helpers import expand_in_basis, factorial_weight, jacobi_by_triples, structure_constants
 
 
 def mi(*entries):

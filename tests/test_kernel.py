@@ -15,8 +15,9 @@ from mcforge.kernel import (
     UnknownSymbolError,
     ZeroDivisionFunctionError,
     echelon,
-    parse_expr,
 )
+
+from helpers import parse_expr
 
 
 @pytest.fixture

@@ -8,11 +8,12 @@ from mcforge.multiindex import (
     MultiIndex,
     all_indices,
     delete_one,
-    factorial_weight,
     multinomial,
     render_index,
     sub_multisets,
 )
+
+from helpers import factorial_weight
 
 indices = st.lists(st.integers(min_value=0, max_value=2),
                    max_size=5).map(lambda entries: MultiIndex(tuple(entries)))

@@ -186,3 +186,69 @@ def test_scaling_by_constant_edge_cases():
     assert [c for c in f.numer.coeffs() + f.denom.coeffs() if abs(c) > 1]
     for q in (Fraction(-3, 4), Fraction(5, 2), Fraction(-1), Fraction(9), Fraction(2, 9)):
         check_scaled(f, q)
+
+
+# ---------------------------------------------------------------------------
+# Constants: an int exactly when integral, else a Fraction, never a float
+# ---------------------------------------------------------------------------
+
+CONSTANT_VALUES = st.one_of(st.integers(-9, 9),
+                            st.fractions(min_value=-9, max_value=9, max_denominator=9))
+
+
+def check_constant(got: ScalarExpr, want: Fraction) -> None:
+    value = got.value
+    assert type(value) is (int if want.denominator == 1 else Fraction)
+    assert value == want
+    assert type(got.as_fraction()) is Fraction and got.as_fraction() == want
+    assert got.expr == rational(want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(CONSTANT_VALUES, CONSTANT_VALUES, st.integers(-3, 3))
+def test_constant_arithmetic_is_int_exactly_when_integral(p, q, n):
+    a, b = ScalarExpr(p, TABLE), ScalarExpr(q, TABLE)
+    check_constant(a, Fraction(p))
+    fp, fq = Fraction(p), Fraction(q)
+    cases = [(a + b, fp + fq), (a - b, fp - fq), (a * b, fp * fq), (-a, -fp),
+             (p + b, fp + fq), (a - q, fp - fq), (p * b, fp * fq), (q - a, fq - fp)]
+    if q:
+        cases += [(a / b, fp / fq), (a / q, fp / fq), (p / b, fp / fq)]
+    if p or n >= 0:
+        cases.append((a ** n, fp ** n))
+    for got, want in cases:
+        check_constant(got, want)
+    assert a.diff(TABLE.lookup("x")).value == 0
+    assert type(a.diff(TABLE.lookup("x")).value) is int
+
+
+def test_integral_constants_are_one_value():
+    values = [ScalarExpr(2), ScalarExpr(Fraction(4, 2)), ScalarExpr(sp.Integer(2)),
+              ScalarExpr(Fraction(4, 2), TABLE), ScalarExpr(QQ(2) / QQ(1) * TABLE.field.one)]
+    for value in values:
+        assert type(value.value) is int
+        assert value == 2 and value == values[0] and value == Fraction(2)
+        assert hash(value) == hash(values[0]) == hash(2)
+    half = ScalarExpr(Fraction(1, 2))
+    assert type(half.value) is Fraction and half != 1 and half * 2 == 1
+    assert type((half * 2).value) is int and type((half + half).value) is int
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(POLYS, POLYS, st.one_of(st.just(0), CONSTANT_VALUES))
+def test_mixed_constant_and_field_operations_match_field(numer, denom, q):
+    denom = polynomial(denom)
+    assume(denom)
+    f = polynomial(numer) / denom
+    assume(not (f.numer.is_ground and f.denom.is_ground))
+    value, c, k = ScalarExpr(f, TABLE), ScalarExpr(q, TABLE), QQ(q)
+    cases = [(c + value, k + f), (value + q, f + k), (c - value, k - f), (value - q, f - k),
+             (c * value, k * f), (value * q, f * k), (c / value, k / f)]
+    if q:
+        cases += [(value / c, f / k), (value / q, f / k)]
+    for got, want in cases:
+        if want.numer.is_ground and want.denom.is_ground:
+            r = want.numer.LC / want.denom.LC
+            check_constant(got, Fraction(int(r.numerator), int(r.denominator)))
+        else:
+            assert (got.value.numer, got.value.denom) == (want.numer, want.denom)

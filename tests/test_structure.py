@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from mcforge.detsys import DeterminingSystem
+from mcforge import render, structure
+from mcforge.detsys import DeterminingSystem, parse_system
 from mcforge.exterior import McGenerator, OneForm, TwoForm, wedge
 from mcforge.kernel import ScalarExpr
 from mcforge.multiindex import MultiIndex, all_indices
@@ -14,6 +15,8 @@ from mcforge.structure import (
     diffeo_structure_equation,
     pseudo_group_structure,
 )
+
+from conftest import bundled
 
 
 def mc(comp, *entries):
@@ -235,3 +238,52 @@ def test_check_d_squared_reads_the_given_equations():
     report = check_d_squared(eqs)
     assert not report.ok
     assert report.failures() == [g]
+
+
+# ---------------------------------------------------------------------------
+# Each structure equation is reduced once per system
+# ---------------------------------------------------------------------------
+
+
+def test_in_place_edit_does_not_reach_the_reduced_equations():
+    # negate a coefficient inside the dict of the first non-trivial equation,
+    # as the benchmark gate's self-test does
+    system = DeterminingSystem.empty(["x", "y"])
+    eqs = pseudo_group_structure(system, 2)
+    g = next(g for g in eqs.basis if eqs.equations[g].terms)
+    original = TwoForm(eqs.equations[g].terms)
+    terms = eqs.equations[g].terms
+    key = next(iter(terms))
+    terms[key] = -terms[key]
+    assert check_d_squared(eqs).failures() == [g]
+    again = pseudo_group_structure(system, 2)
+    assert again.equations[g] == original
+    assert check_d_squared(again).ok
+
+
+def _rendered(eqs):
+    return (render.render_structure(eqs, "text"), render.render_structure(eqs, "latex"),
+            render.render_structure(eqs, "json"))
+
+
+def test_structure_after_a_lower_cap_matches_a_fresh_system():
+    # cap 5 leaves order-4 jets parametric that cap 7 solves for, so the
+    # order-3 equations reduced at cap 5 must not be reused at cap 7
+    system = parse_system(bundled("janet.dsys"))
+    pseudo_group_structure(system, 3, cap=5)
+    reused = pseudo_group_structure(system, 4, cap=7)
+    fresh = pseudo_group_structure(parse_system(bundled("janet.dsys")), 4, cap=7)
+    assert _rendered(reused) == _rendered(fresh)
+
+
+@pytest.mark.parametrize("m,n,calls", [(2, 4, 42), (3, 2, 60)])
+def test_structure_and_d_squared_expand_each_generator_once(monkeypatch, m, n, calls):
+    # d^2 at order n needs the equations of order <= n + 1; those of order
+    # <= n are the ones the structure set at order n already reduced
+    seen = []
+    expand = structure.diffeo_structure_equation
+    monkeypatch.setattr(structure, "diffeo_structure_equation",
+                        lambda *args: seen.append(args) or expand(*args))
+    system = DeterminingSystem.empty(["x", "y", "z"][:m])
+    assert check_d_squared(pseudo_group_structure(system, n)).ok
+    assert len(seen) == calls
