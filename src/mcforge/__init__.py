@@ -16,7 +16,7 @@ from .detsys import (
     reduce_system,
     solve_to_order,
 )
-from .exterior import McGenerator, OneForm, ThreeForm, TwoForm, d_apply, reduce_form, wedge
+from .exterior import McGenerator, OneForm, ThreeForm, TwoForm, d_apply, wedge
 from .jetalg import (
     JetVectorField,
     bracket,
@@ -34,7 +34,7 @@ from .kernel import (
     SymbolKind,
     SymbolTable,
 )
-from .multiindex import MultiIndex, delete_one, multinomial, sub_multisets
+from .multiindex import MultiIndex, delete_one, multinomial
 from .structure import (
     StructureEquationSet,
     check_d_squared,
@@ -48,11 +48,11 @@ __all__ = [
     "DeterminingSystem", "LiftedRelations", "LinearPdeEquation",
     "SolvedSourceRelations", "lift", "parse_system", "prolong", "reduce_system",
     "solve_to_order", "McGenerator", "OneForm", "TwoForm", "ThreeForm",
-    "d_apply", "reduce_form", "wedge", "JetVectorField",
+    "d_apply", "wedge", "JetVectorField",
     "bracket", "bracket_monomial", "check_duality", "jacobi_check",
     "solution_basis", "DegeneratePointError", "McforgeError", "ParseError",
     "ScalarExpr", "Symbol", "SymbolKind", "SymbolTable",
     "MultiIndex", "delete_one", "multinomial",
-    "sub_multisets", "StructureEquationSet", "check_d_squared",
+    "StructureEquationSet", "check_d_squared",
     "diffeo_structure_equation", "pseudo_group_structure", "__version__",
 ]

@@ -10,6 +10,12 @@ generator of a rule set is numbered once in ``sort_key`` order, so d of a
 two-form places one integer rank into an already sorted rank pair.
 Reduction passes a monomial that is strictly increasing and has no dependent
 generator through as it is, since substituting nothing changes nothing.
+
+The arithmetic of d of a two-form runs on plain constants: ``_RankedRules``
+and ``d_apply_two`` hold a constant coefficient as its ``int`` or
+``Fraction`` value, the one a constant ``ScalarExpr`` holds, and a
+non-constant coefficient as its ``ScalarExpr``, which takes a plain constant
+as an operand.  ``ScalarExpr`` wraps each sum once, in the returned form.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import itertools
 from typing import Mapping, NamedTuple
 
 from .kernel import McforgeError, ScalarExpr, accumulate, graded_add, graded_neg
-from .multiindex import MultiIndex
+from .multiindex import MultiIndex, ordered_by_sort_key
 
 
 class NotSolvedFormError(McforgeError):
@@ -33,6 +39,7 @@ class MissingRuleError(McforgeError):
         super().__init__(f"no structure equation for generator {generator}")
 
 
+@ordered_by_sort_key
 class McGenerator(NamedTuple):
     """The key (component a, multi-index A).
 
@@ -46,20 +53,8 @@ class McGenerator(NamedTuple):
     index: MultiIndex
 
     def sort_key(self) -> tuple:
-        return (self.index.order, self.component, self.index.entries)
-
-    # all four, since a tuple's own orderings are lexicographic
-    def __lt__(self, other: "McGenerator") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other: "McGenerator") -> bool:
-        return self.sort_key() <= other.sort_key()
-
-    def __gt__(self, other: "McGenerator") -> bool:
-        return self.sort_key() > other.sort_key()
-
-    def __ge__(self, other: "McGenerator") -> bool:
-        return self.sort_key() >= other.sort_key()
+        i = self.index
+        return (len(i), self.component, tuple(i))
 
     def __repr__(self):
         return f"mu[{self.component}]{self.index.entries}"
@@ -231,17 +226,6 @@ def reduce_three(omega: ThreeForm, rel) -> ThreeForm:
     return _reduce(omega, rel)
 
 
-def reduce_form(form, rel):
-    """Reduce a form modulo a solved relation set; idempotent and linear."""
-    if isinstance(form, OneForm):
-        return reduce_one(form, rel)
-    if isinstance(form, TwoForm):
-        return reduce_two(form, rel)
-    if isinstance(form, ThreeForm):
-        return reduce_three(form, rel)
-    raise TypeError(f"cannot reduce {type(form).__name__}")
-
-
 def _rule(rules: Mapping, g: McGenerator):
     dg = rules.get(g)
     if dg is None:
@@ -257,14 +241,19 @@ def d_apply(alpha: OneForm, rules: Mapping[McGenerator, TwoForm], rel) -> TwoFor
     return reduce_two(TwoForm(out), rel)
 
 
+def _plain(c: ScalarExpr):
+    """A constant coefficient as its ``int`` or ``Fraction`` value, any other as it is."""
+    return c.value if c.is_constant else c
+
+
 class _RankedRules:
     """A rule set d g = sum c p ^ q with every generator replaced by its rank.
 
     The ranks number all generators of the rules in ``sort_key`` order, so
     two ranks compare as their generators do.  Each rule is stored once as
-    (p, q, c) triples with p < q: an unsorted monomial is sorted with its
-    sign, and one with a repeated generator is dropped.  ``rules`` maps each
-    generator with a rule to its rank and its triples.
+    (p, q, c) triples with p < q and c plain (see ``_plain``): an unsorted
+    monomial is sorted with its sign, and one with a repeated generator is
+    dropped.  ``rules`` maps each generator with a rule to (rank, triples).
     """
 
     __slots__ = ("gens", "rules")
@@ -280,7 +269,7 @@ class _RankedRules:
         for g, form in rules.items():
             canonical: dict = {}
             for (a, b), c in form.terms.items():
-                p, q = rank[a], rank[b]
+                p, q, c = rank[a], rank[b], _plain(c)
                 if p < q:
                     accumulate(canonical, (p, q), c)
                 elif q < p:
@@ -294,14 +283,16 @@ def d_apply_two(omega: TwoForm, rules: Mapping[McGenerator, TwoForm] | _RankedRu
 
     ``rules`` gives d of each generator, as a mapping or already ranked; a
     mapping is ranked here.  Each product of a rule's sorted rank pair with
-    one rank is sorted by at most two integer comparisons, and the sum is
-    mapped back to generator keys before the relations reduce it.
+    one rank is sorted by at most two integer comparisons, and the sum, in
+    plain constants where it is constant, is mapped back to generator keys
+    and ``ScalarExpr`` coefficients before the relations reduce it.
     """
     ranked = rules if isinstance(rules, _RankedRules) else _RankedRules(rules)
     out: dict = {}
     for (a, b), c in omega.terms.items():
         g, dg = _rule(ranked.rules, a)  # g and h are ranks
         h, dh = _rule(ranked.rules, b)
+        c = _plain(c)
         neg = -c
         for p, q, v in dg:  # c p^q^h: h moves left past q, then past p
             if q < h:
@@ -318,5 +309,6 @@ def d_apply_two(omega: TwoForm, rules: Mapping[McGenerator, TwoForm] | _RankedRu
             elif q < g:
                 accumulate(out, (p, q, g), neg * v)
     gens = ranked.gens
-    return reduce_three(ThreeForm({(gens[i], gens[j], gens[k]): v
-                                   for (i, j, k), v in out.items()}), rel)
+    return reduce_three(ThreeForm({
+        (gens[i], gens[j], gens[k]): v if type(v) is ScalarExpr else ScalarExpr(v)
+        for (i, j, k), v in out.items()}), rel)

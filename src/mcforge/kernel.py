@@ -462,7 +462,7 @@ class ScalarExpr:
         return hash(_in_field(value, self.table.field))
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self.value)
 
     def __repr__(self):
         return f"ScalarExpr({self.expr})"
@@ -476,14 +476,15 @@ class ScalarExpr:
 # ---------------------------------------------------------------------------
 
 
-def accumulate(terms: dict, key, c: ScalarExpr) -> None:
-    """terms[key] += c in place; a zero c adds nothing and a sum that cancels is dropped."""
-    if c.is_zero:
+def accumulate(terms: dict, key, c: ScalarExpr | int | Fraction) -> None:
+    """terms[key] += c in place, for ScalarExprs, plain constants or a mix of the two;
+    a zero c adds nothing and a sum that cancels is dropped."""
+    if not c:
         return
     cur = terms.get(key)
     if cur is not None:
         c = cur + c
-        if c.is_zero:
+        if not c:
             del terms[key]
             return
     terms[key] = c

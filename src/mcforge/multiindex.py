@@ -2,58 +2,67 @@
 
 A multi-index is an unordered multiset of coordinate positions (0-based),
 matching the symmetry of mixed partial derivatives; (y,z) and (z,y) are the
-same index.
+same index.  ``MultiIndex`` is the tuple of its sorted entries, so hashing and
+equality are the tuple's own: ``MultiIndex((1, 0))`` equals, and hashes like,
+the plain tuple ``(0, 1)``, just as a ``McGenerator`` equals its
+``(component, index)`` pair.  It orders by ``sort_key`` (graded
+lexicographic), not as a tuple does.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+import operator
+from collections import Counter
 from typing import Iterable, Optional
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    entries: tuple[int, ...] = field(default=())
+def ordered_by_sort_key(cls):
+    """Class decorator: ``<``, ``<=``, ``>`` and ``>=`` compare ``sort_key()``s
+    where a tuple's own orderings would be lexicographic."""
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        op = getattr(operator, name)
+        setattr(cls, name, lambda self, other, op=op: op(self.sort_key(), other.sort_key()))
+    return cls
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
+
+@ordered_by_sort_key
+class MultiIndex(tuple):
+    __slots__ = ()
+
+    def __new__(cls, entries: Iterable[int] = ()):
+        return tuple.__new__(cls, sorted(entries))
 
     @property
-    def order(self) -> int:
-        return len(self.entries)
+    def entries(self) -> tuple[int, ...]:
+        return tuple(self)
+
+    order = property(len)
 
     def counts(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for e in self.entries:
-            out[e] = out.get(e, 0) + 1
-        return out
+        return dict(Counter(self))
 
     def union(self, other: "MultiIndex") -> "MultiIndex":
-        return MultiIndex(self.entries + other.entries)
+        return MultiIndex(self + other)
 
     def append(self, a: int) -> "MultiIndex":
-        return MultiIndex(self.entries + (a,))
+        return MultiIndex(self + (a,))
 
     def minus(self, other: "MultiIndex") -> "MultiIndex":
-        mine = self.counts()
-        for e, c in other.counts().items():
-            if mine.get(e, 0) < c:
+        rest = list(self)
+        for e in other:
+            if e not in rest:
                 raise ValueError(f"{other} is not a sub-multiset of {self}")
-            mine[e] -= c
-        return MultiIndex(tuple(itertools.chain.from_iterable(
-            (e,) * c for e, c in mine.items())))
+            rest.remove(e)
+        return MultiIndex(rest)
 
     def sort_key(self) -> tuple:
         # graded lexicographic in the declared coordinate order
-        return (len(self.entries), self.entries)
-
-    def __lt__(self, other: "MultiIndex") -> bool:
-        return self.sort_key() < other.sort_key()
+        return (len(self), tuple(self))
 
     def __repr__(self):
-        return f"MultiIndex{self.entries}"
+        return f"MultiIndex{tuple(self)}"
 
 
 EMPTY = MultiIndex()
@@ -64,48 +73,44 @@ def multinomial(C: MultiIndex, A: MultiIndex) -> int:
 
     Coordinate by coordinate this is a product of binomials.
     """
-    in_C = C.counts()
     out = 1
     for e, k in A.counts().items():
-        n = in_C.get(e, 0)
-        if n < k:
-            return 0
-        out *= math.comb(n, k)
+        out *= math.comb(C.count(e), k)  # 0 when A holds more e than C
     return out
 
 
-def sub_multisets(C: MultiIndex) -> list[tuple[MultiIndex, MultiIndex]]:
-    """All splits C = (A, B) with A a distinct sub-multiset, graded-lex in A."""
-    counts = sorted(C.counts().items())
-    choices = [range(c + 1) for _, c in counts]
-    splits = []
-    for pick in itertools.product(*choices):
-        A = MultiIndex(tuple(itertools.chain.from_iterable(
-            (e,) * k for (e, _), k in zip(counts, pick))))
-        splits.append((A, C.minus(A)))
-    splits.sort(key=lambda ab: ab[0].sort_key())
-    return splits
+def splits(C: MultiIndex) -> list[tuple[MultiIndex, MultiIndex, int]]:
+    """All splits C = (A, B) with A a distinct sub-multiset, graded-lex in A, and
+    the ``int`` weight (C choose A): the product, over the entries e, of (k choose
+    j) when A takes j of the k occurrences of e in C."""
+    counts = list(C.counts().items())
+    out = []
+    for pick in itertools.product(*[range(k + 1) for _, k in counts]):
+        A, B, weight = [], [], 1
+        for (e, k), j in zip(counts, pick):
+            A += [e] * j
+            B += [e] * (k - j)
+            weight *= math.comb(k, j)
+        out.append((MultiIndex(A), MultiIndex(B), weight))
+    out.sort(key=lambda split: split[0].sort_key())
+    return out
 
 
 def delete_one(B: MultiIndex, a: int) -> Optional[MultiIndex]:
     """Remove one occurrence of a from B; None when a does not occur."""
-    if a not in B.entries:
+    if a not in B:
         return None
-    entries = list(B.entries)
+    entries = list(B)
     entries.remove(a)
-    return MultiIndex(tuple(entries))
+    return MultiIndex(entries)
 
 
 def all_indices(m: int, max_order: int) -> list[MultiIndex]:
     """Every multi-index over m coordinates of order <= max_order, graded-lex."""
-    out = []
-    for k in range(max_order + 1):
-        for combo in itertools.combinations_with_replacement(range(m), k):
-            out.append(MultiIndex(combo))
-    out.sort(key=MultiIndex.sort_key)
-    return out
+    return [MultiIndex(combo) for k in range(max_order + 1)
+            for combo in itertools.combinations_with_replacement(range(m), k)]
 
 
 def render_index(A: MultiIndex, names: Iterable[str]) -> str:
     names = list(names)
-    return "".join(names[e] for e in A.entries)
+    return "".join(names[e] for e in A)

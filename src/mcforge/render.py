@@ -38,9 +38,11 @@ def _check_printable(c: ScalarExpr | Fraction) -> None:
 
 def coeff_text(c: ScalarExpr | Fraction) -> str:
     _check_printable(c)
-    # str(Fraction) spells p/q exactly as sympy prints the equal Rational
-    if isinstance(c, Fraction):
-        return str(c)
+    # str of an int or a Fraction spells it exactly as sympy prints the equal
+    # Integer or Rational, so a constant needs no sympy expression
+    value = c if isinstance(c, Fraction) else c.value
+    if isinstance(value, (int, Fraction)):
+        return str(value)
     return sp.sstr(c.expr, order="lex")
 
 
@@ -98,7 +100,7 @@ def _with_coeff(c: ScalarExpr, body: str, notation: Notation, times: str) -> str
     if unit == -1:
         return f"-{body}"
     text = notation.coeff(c)
-    if c.expr.is_Add:
+    if unit is None and c.expr.is_Add:
         text = f"{notation.parens[0]}{text}{notation.parens[1]}"
     return f"{text}{times}{body}"
 

@@ -21,7 +21,7 @@ from .exterior import (
     reduce_two,
 )
 from .kernel import InvalidOrderError, McforgeError, ScalarExpr, accumulate
-from .multiindex import MultiIndex, multinomial, sub_multisets
+from .multiindex import MultiIndex, splits
 
 
 class InternalReductionError(McforgeError):
@@ -29,10 +29,10 @@ class InternalReductionError(McforgeError):
 
 
 def diffeo_structure_equation(a: int, C: MultiIndex, m: int) -> TwoForm:
-    """d mu^a_C for the full diffeomorphism pseudo-group, no relations applied."""
+    """d mu^a_C for the full diffeomorphism pseudo-group, no relations applied;
+    the weights are summed as ``int``s and each sum wrapped once."""
     terms: dict = {}
-    for A, B in sub_multisets(C):
-        weight = ScalarExpr(multinomial(C, A))
+    for A, B, weight in splits(C):
         for b in range(m):
             g, h = McGenerator(a, A.append(b)), McGenerator(b, B)
             kg, kh = g.sort_key(), h.sort_key()
@@ -40,7 +40,7 @@ def diffeo_structure_equation(a: int, C: MultiIndex, m: int) -> TwoForm:
                 accumulate(terms, (g, h), weight)
             elif kh < kg:
                 accumulate(terms, (h, g), -weight)
-    return TwoForm(terms)
+    return TwoForm({k: ScalarExpr(v) for k, v in terms.items()})
 
 
 @dataclass

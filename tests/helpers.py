@@ -2,7 +2,8 @@
 
 import itertools
 import math
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Mapping, Optional
 
 from mcforge.exterior import (
     OneForm,
@@ -12,6 +13,9 @@ from mcforge.exterior import (
     _rule,
     _solved_map,
     _wedge_into,
+    reduce_one,
+    reduce_three,
+    reduce_two,
     wedge_two_one,
 )
 from mcforge.jetalg import JacobiReport, JetVectorField, _point_map, bracket
@@ -24,6 +28,84 @@ def parse_expr(text: str, table: SymbolTable, line_offset: int = 1) -> ScalarExp
     """One scalar expression in the shared input grammar, every name a declared symbol."""
     value = ExprParser(table).parse(text, line_offset)
     return value[SCALAR] if value else ScalarExpr(0, table)
+
+
+@dataclass(frozen=True)
+class DataclassMultiIndex:
+    """The multi-index as a frozen dataclass: the oracle for ``MultiIndex``."""
+
+    entries: tuple[int, ...] = field(default=())
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
+
+    @property
+    def order(self) -> int:
+        return len(self.entries)
+
+    def counts(self) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for e in self.entries:
+            out[e] = out.get(e, 0) + 1
+        return out
+
+    def union(self, other: "DataclassMultiIndex") -> "DataclassMultiIndex":
+        return DataclassMultiIndex(self.entries + other.entries)
+
+    def append(self, a: int) -> "DataclassMultiIndex":
+        return DataclassMultiIndex(self.entries + (a,))
+
+    def minus(self, other: "DataclassMultiIndex") -> "DataclassMultiIndex":
+        mine = self.counts()
+        for e, c in other.counts().items():
+            if mine.get(e, 0) < c:
+                raise ValueError(f"{other} is not a sub-multiset of {self}")
+            mine[e] -= c
+        return DataclassMultiIndex(tuple(itertools.chain.from_iterable(
+            (e,) * c for e, c in mine.items())))
+
+    def sort_key(self) -> tuple:
+        return (len(self.entries), self.entries)
+
+    def __lt__(self, other: "DataclassMultiIndex") -> bool:
+        return self.sort_key() < other.sort_key()
+
+    def __repr__(self):
+        return f"MultiIndex{self.entries}"
+
+
+def dataclass_multinomial(C, A) -> int:
+    """(C choose A) from the counts of C and A, with an explicit sub-multiset test."""
+    in_C = C.counts()
+    out = 1
+    for e, k in A.counts().items():
+        n = in_C.get(e, 0)
+        if n < k:
+            return 0
+        out *= math.comb(n, k)
+    return out
+
+
+def sub_multisets(C) -> list:
+    """All splits C = (A, B) with A a distinct sub-multiset, graded-lex in A; A
+    and B have C's type, a ``MultiIndex`` or a ``DataclassMultiIndex``."""
+    counts = sorted(C.counts().items())
+    choices = [range(c + 1) for _, c in counts]
+    splits = []
+    for pick in itertools.product(*choices):
+        A = type(C)(tuple(itertools.chain.from_iterable(
+            (e,) * k for (e, _), k in zip(counts, pick))))
+        splits.append((A, C.minus(A)))
+    splits.sort(key=lambda ab: ab[0].sort_key())
+    return splits
+
+
+def dataclass_delete_one(B: DataclassMultiIndex, a: int) -> Optional[DataclassMultiIndex]:
+    if a not in B.entries:
+        return None
+    entries = list(B.entries)
+    entries.remove(a)
+    return DataclassMultiIndex(tuple(entries))
 
 
 def factorial_weight(A: MultiIndex) -> int:
@@ -83,8 +165,19 @@ def wedge_one_two(alpha: OneForm, omega: TwoForm) -> ThreeForm:
     return wedge_two_one(omega, alpha)
 
 
+def reduce_form(form, rel):
+    """Reduce a form modulo a solved relation set; idempotent and linear."""
+    if isinstance(form, OneForm):
+        return reduce_one(form, rel)
+    if isinstance(form, TwoForm):
+        return reduce_two(form, rel)
+    if isinstance(form, ThreeForm):
+        return reduce_three(form, rel)
+    raise TypeError(f"cannot reduce {type(form).__name__}")
+
+
 def reduce_by_wedge(form, rel):
-    """``exterior.reduce_form`` with every monomial substituted and re-sorted."""
+    """``reduce_form`` with every monomial substituted and re-sorted."""
     solved = _solved_map(rel)
     out: dict = {}
     for k, c in form.terms.items():

@@ -1,11 +1,11 @@
-"""One traced and one untraced ``rational-solve`` job through the benchmark's loop.
+"""One traced and one untraced job of every workload through the benchmark's loop.
 
 ``perfbench/run.py --trace 1`` exits 1 when ``tracing.install`` cannot find a
 name it hooks, when a traced job's span self times do not account for its wall
-time within 1%, or when a job has other than one root span.  This test runs
+time within 1%, or when a job has other than one root span.  These tests run
 the two jobs through ``run.Loop`` and ``run.trace_metrics`` as the runner
-does, so those failures show up in every ``pytest`` run, and it checks the
-scalar layer's counts for the traced job.
+does, so those failures show up in every ``pytest`` run, and they check the
+scalar layer's counts for the traced jobs.
 """
 
 import importlib.util
@@ -48,3 +48,31 @@ def test_traced_rational_solve_job(bench_run):
         # used to eliminate every pivot again: 38 calls), and the count does
         # not depend on how the seed orders the equation lines
         assert metrics["kernel.assumptions"][0] == 24
+
+
+def _traced_and_untraced(bench_run, workload, seed):
+    from tracing import Tracer
+
+    tracer = Tracer()
+    loop = bench_run.Loop(workload, seed, tracer)
+    traced_s = loop.run_job(1, traced=True)
+    untraced_s = loop.run_job(2, traced=False)
+    assert loop.failed == 0
+    return bench_run.trace_metrics(tracer, [1], [traced_s], [untraced_s],
+                                   loop.source.points.redraws)
+
+
+def test_traced_diffeo_d2_job(bench_run):
+    for seed in (1, 2):
+        metrics = _traced_and_untraced(bench_run, "diffeo-d2", seed)
+        # d^2 sums plain int weights and wraps only the coefficients of the
+        # returned forms: 1 102 ScalarExprs in this job (11 573 when every
+        # product was one)
+        assert metrics["kernel.scalar_new"][0] < 2000
+        assert metrics["structure.basis_size"][0] > 0
+
+
+def test_traced_duality_job(bench_run):
+    for seed in (1, 2):
+        metrics = _traced_and_untraced(bench_run, "duality", seed)
+        assert metrics["jetalg.pairings"][0] > 0

@@ -12,7 +12,6 @@ from mcforge.exterior import (
     TwoForm,
     _sort_with_sign,
     d_apply,
-    reduce_form,
     reduce_one,
     reduce_two,
     wedge,
@@ -21,7 +20,7 @@ from mcforge.exterior import (
 from mcforge.kernel import ScalarExpr, SymbolKind, SymbolTable
 from mcforge.multiindex import MultiIndex
 
-from helpers import wedge_one_two
+from helpers import reduce_form, wedge_one_two
 
 
 def g(comp, *entries):

@@ -200,6 +200,9 @@ def check_constant(got: ScalarExpr, want: Fraction) -> None:
     value = got.value
     assert type(value) is (int if want.denominator == 1 else Fraction)
     assert value == want
+    # a constant's text is native: sympy's bytes, and no sympy expression built
+    assert coeff_text(got) == sp.sstr(rational(want), order="lex")
+    assert got._expr is None
     assert type(got.as_fraction()) is Fraction and got.as_fraction() == want
     assert got.expr == rational(want)
 
@@ -220,6 +223,17 @@ def test_constant_arithmetic_is_int_exactly_when_integral(p, q, n):
         check_constant(got, want)
     assert a.diff(TABLE.lookup("x")).value == 0
     assert type(a.diff(TABLE.lookup("x")).value) is int
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                 st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 12)))
+def test_constant_text_is_sympys_without_an_expression(q):
+    c = ScalarExpr(q, TABLE)
+    text = coeff_text(c)
+    assert c._expr is None
+    assert text == sp.sstr(rational(Fraction(q)), order="lex") == sp.sstr(c.expr, order="lex")
+    assert coeff_latex(c) == sp.latex(c.expr, order="lex")
 
 
 def test_integral_constants_are_one_value():

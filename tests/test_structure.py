@@ -287,3 +287,17 @@ def test_structure_and_d_squared_expand_each_generator_once(monkeypatch, m, n, c
     system = DeterminingSystem.empty(["x", "y", "z"][:m])
     assert check_d_squared(pseudo_group_structure(system, n)).ok
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize("m,n", [(2, 4), (3, 2)])
+def test_structure_and_d_squared_build_few_scalars(monkeypatch, m, n):
+    # the weights and the d^2 sums are plain ints; a ScalarExpr is built only
+    # for a coefficient of a returned form (412 and 690 here, where wrapping
+    # every product built 5 311 and 6 262)
+    built = []
+    init = ScalarExpr.__init__
+    monkeypatch.setattr(ScalarExpr, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    system = DeterminingSystem.empty(["x", "y", "z"][:m])
+    assert check_d_squared(pseudo_group_structure(system, n)).ok
+    assert len(built) <= 1000
