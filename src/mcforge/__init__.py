@@ -13,14 +13,12 @@ from .detsys import (
     lift,
     parse_system,
     prolong,
-    reduce_system,
     solve_to_order,
 )
-from .exterior import McGenerator, OneForm, ThreeForm, TwoForm, d_apply, wedge
+from .exterior import McGenerator, OneForm, ThreeForm, TwoForm
 from .jetalg import (
     JetVectorField,
     bracket,
-    bracket_monomial,
     check_duality,
     jacobi_check,
     solution_basis,
@@ -34,7 +32,7 @@ from .kernel import (
     SymbolKind,
     SymbolTable,
 )
-from .multiindex import MultiIndex, delete_one, multinomial
+from .multiindex import MultiIndex
 from .structure import (
     StructureEquationSet,
     check_d_squared,
@@ -46,13 +44,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DeterminingSystem", "LiftedRelations", "LinearPdeEquation",
-    "SolvedSourceRelations", "lift", "parse_system", "prolong", "reduce_system",
-    "solve_to_order", "McGenerator", "OneForm", "TwoForm", "ThreeForm",
-    "d_apply", "wedge", "JetVectorField",
-    "bracket", "bracket_monomial", "check_duality", "jacobi_check",
+    "SolvedSourceRelations", "lift", "parse_system", "prolong", "solve_to_order",
+    "McGenerator", "OneForm", "TwoForm", "ThreeForm", "JetVectorField",
+    "bracket", "check_duality", "jacobi_check",
     "solution_basis", "DegeneratePointError", "McforgeError", "ParseError",
-    "ScalarExpr", "Symbol", "SymbolKind", "SymbolTable",
-    "MultiIndex", "delete_one", "multinomial",
+    "ScalarExpr", "Symbol", "SymbolKind", "SymbolTable", "MultiIndex",
     "StructureEquationSet", "check_d_squared",
     "diffeo_structure_equation", "pseudo_group_structure", "__version__",
 ]

@@ -1,7 +1,12 @@
-"""Command-line front end.
+"""Command-line front end: one table of commands over one output path.
 
-Exit status: 0 on success, 1 when a verification fails (nonzero residue or
-duality violation), 2 on input errors.
+Each row of ``COMMANDS`` holds a command's name, help, the arguments it reads
+and its function, which returns the text that ``render`` writes for its
+result, or ``(text, ok)`` for a verdict.  ``main`` writes that text to stdout
+once and exits 0, or 1 when a verdict fails (nonzero residue, duality
+violation or coframe residue).  An input error, a ``McforgeError`` raised
+while computing or rendering, exits 2 with one ``error:`` line on stderr and
+nothing on stdout.
 """
 
 from __future__ import annotations
@@ -11,10 +16,11 @@ import os
 import sys
 from fractions import Fraction
 from importlib import resources
+from itertools import combinations
 
 from . import coordforms, detsys, jetalg, render, structure
 from .exterior import MissingRuleError
-from .kernel import McforgeError
+from .kernel import SCALAR, ExprParser, McforgeError, ParseError, SymbolTable
 
 
 def _diag(message: str) -> str:
@@ -35,7 +41,7 @@ def _read_input(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise McforgeError(f"cannot read {path!r}: {exc}") from exc
 
 
@@ -54,9 +60,11 @@ def _parse_point(text: str | None, system: detsys.DeterminingSystem) -> dict:
             raise McforgeError(f"coordinate {name!r} given twice in --point")
         given.add(name)
         try:
-            point[name] = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise McforgeError(f"bad rational value {value!r} in --point") from exc
+            # no symbols: a value is a constant within the grammar's bounds
+            parsed = ExprParser(SymbolTable()).parse(value)
+        except ParseError as exc:
+            raise McforgeError(f"bad rational value {value!r} in --point: {exc}") from None
+        point[name] = parsed[SCALAR].as_fraction() if parsed else Fraction(0)
     return point
 
 
@@ -104,7 +112,7 @@ def _system(args) -> detsys.DeterminingSystem:
     before anything is prolonged or solved.
     """
     system = None
-    if args.command != "diffeo":
+    if args.dim is None:
         system = detsys.parse_system(_read_input(args.input))
         m = len(system.coords)
     elif args.dim < 1:
@@ -112,34 +120,29 @@ def _system(args) -> detsys.DeterminingSystem:
     else:
         m = args.dim
     _check_size(m, args.order)
-    cap = getattr(args, "cap", None)
-    if cap is not None:
-        _check_size(m, cap - 1, f"--cap {cap}")
+    if args.cap is not None:
+        _check_size(m, args.cap - 1, f"--cap {args.cap}")
     if system is not None:
         return system
     coords = ["x", "y", "z"][:m] if m <= 3 else [f"z{i+1}" for i in range(m)]
     return detsys.DeterminingSystem.empty(coords)
 
 
-def cmd_structure(args) -> int:
+def cmd_structure(args) -> str:
     eqs = structure.pseudo_group_structure(_system(args), args.order, cap=args.cap)
-    sys.stdout.write(render.render_structure(eqs, args.format))
-    return 0
+    return render.render_structure(eqs, args.format)
 
 
-def cmd_lift(args) -> int:
+def cmd_lift(args) -> str:
     solved = detsys.solve_to_order(_system(args), args.order, cap=args.cap)
-    sys.stdout.write(render.render_lift(detsys.lift(solved), args.format))
-    return 0
+    return render.render_lift(detsys.lift(solved), args.format)
 
 
-def cmd_prolong(args) -> int:
-    prolonged = detsys.prolong(_system(args), args.order)
-    sys.stdout.write(render.render_prolong(prolonged, args.format))
-    return 0
+def cmd_prolong(args) -> str:
+    return render.render_prolong(detsys.prolong(_system(args), args.order), args.format)
 
 
-def cmd_check_d2(args) -> int:
+def cmd_check_d2(args) -> tuple[str, bool]:
     system = _system(args)
     n = args.order
     eqs = structure.pseudo_group_structure(system, n, cap=args.cap)
@@ -155,23 +158,10 @@ def cmd_check_d2(args) -> int:
             f"between orders {n + 1} and {n + 2} ({gen} is parametric when solved "
             f"to order {n + 1} but dependent when solved to order {n + 2}, so it "
             f"has no structure equation); raise --cap") from None
-    if args.format == "json":
-        obj = {"order": args.order, "ok": report.ok,
-               "failures": [render.gen_text(g, system.coords, system.targets)
-                            for g in report.failures()]}
-        sys.stdout.write(render.render_json(obj))
-    else:
-        if report.ok:
-            sys.stdout.write("all residues zero\n")
-        else:
-            for g in report.failures():
-                sys.stdout.write(
-                    f"nonzero residue for d^2 "
-                    f"{render.gen_text(g, system.coords, system.targets)}\n")
-    return 0 if report.ok else 1
+    return render.render_d2(report, system, args.format), report.ok
 
 
-def cmd_check_duality(args) -> int:
+def cmd_check_duality(args) -> tuple[str, bool]:
     system = _system(args)
     point = _parse_point(args.point, system)
     eqs = structure.pseudo_group_structure(system, args.order, cap=args.cap)
@@ -180,68 +170,48 @@ def cmd_check_duality(args) -> int:
         sys.stderr.write(f"warning: solution basis has dimension {len(basis)}; "
                          "no pair of jets to check\n")
     report = jetalg.check_duality(eqs, basis, point)
-    if args.format == "json":
-        obj = {"order": args.order, "pairings": report.pairings, "ok": report.ok,
-               "violations": len(report.violations)}
-        sys.stdout.write(render.render_json(obj))
-    else:
-        sys.stdout.write(
-            f"{report.pairings} pairings checked, "
-            f"{len(report.violations)} violations\n")
-    return 0 if report.ok else 1
+    return render.render_duality(report, args.order, args.format), report.ok
 
 
-def cmd_bracket(args) -> int:
+def cmd_bracket(args) -> str:
     system = _system(args)
     point = _parse_point(args.point, system)
     basis = jetalg.solution_basis(system, point, args.order, cap=args.cap)
-    rows = []
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            br = jetalg.bracket(basis[i], basis[j])
-            rows.append((i, j, sorted(br.coefficients.items(),
-                                      key=lambda gc: (gc[0].index.sort_key(), gc[0].component))))
-    if args.format == "json":
-        obj = {"dimension": len(basis), "order": args.order,
-               "brackets": [
-                   {"i": i, "j": j,
-                    "terms": [{"component": g.component,
-                               "index": list(g.index.entries),
-                               "coeff": render.coeff_text(c)}
-                              for g, c in entries]}
-                   for i, j, entries in rows]}
-        sys.stdout.write(render.render_json(obj))
-    else:
-        sys.stdout.write(f"solution basis dimension: {len(basis)}\n")
-        for i, j, entries in rows:
-            body = " + ".join(
-                f"({render.coeff_text(c)})*zeta[{g.component}]{list(g.index.entries)}"
-                for g, c in entries) or "0"
-            sys.stdout.write(f"[v{i+1}, v{j+1}] = {body}\n")
-    return 0
+    brackets = [(i, j, jetalg.bracket(basis[i], basis[j]))
+                for i, j in combinations(range(len(basis)), 2)]
+    return render.render_brackets(len(basis), args.order, brackets, args.format)
 
 
-def cmd_verify_coframe(args) -> int:
+def cmd_verify_coframe(args) -> tuple[str, bool]:
     session = coordforms.parse_coframe(_read_input(args.input))
     report = coordforms.verify_structure_equations(session)
-    if args.format == "json":
-        obj = {"verified": report.verified,
-               "residues": {name: [{"pair": list(key),
-                                    "coeff": render.coeff_text(c)}
-                                   for key, c in sorted(two.terms.items())]
-                            for name, two in report.residues.items()}}
-        sys.stdout.write(render.render_json(obj))
-    else:
-        for name in session.forms:
-            residue = report.residues.get(name)
-            status = "ok" if residue is not None and residue.is_zero else "RESIDUE"
-            sys.stdout.write(f"d{name}: {status}\n")
-            if residue is not None and not residue.is_zero:
-                for (s, t), c in sorted(residue.terms.items()):
-                    sys.stdout.write(
-                        f"  residue term: ({render.coeff_text(c)}) d{s}^d{t}\n")
-        sys.stdout.write("verified\n" if report.verified else "verification failed\n")
-    return 0 if report.verified else 1
+    return render.render_coframe(session, report, args.format), report.verified
+
+
+# Every argument a command may read, in the order its help lists them.
+ARGUMENTS = {
+    "input": (["input"], {"help": "determining-system file (@name for bundled)"}),
+    "dim": (["--dim"], {"type": int, "required": True}),
+    "order": (["--order"], {"type": int, "required": True}),
+    "cap": (["--cap"], {"type": int, "default": None,
+                        "help": "max prolongation order for the fixed-point loop "
+                                "(at least --order)"}),
+    "format": (["--format"], {"choices": ["text", "latex", "json"], "default": "text"}),
+    "point": (["--point"], {"default": None, "help": "evaluation point, e.g. x=1,y=2"}),
+}
+
+# name, help, the arguments besides --format that the command reads, function
+COMMANDS = [
+    ("structure", "pseudo-group structure equations", "input order cap", cmd_structure),
+    ("diffeo", "diffeomorphism structure equations", "dim order cap", cmd_structure),
+    ("lift", "lifted determining relations", "input order cap", cmd_lift),
+    ("prolong", "prolonged determining system", "input order", cmd_prolong),
+    ("check-d2", "verify d(d mu) = 0", "input order cap", cmd_check_d2),
+    ("check-duality", "verify structure equations against jet brackets",
+     "input order cap point", cmd_check_duality),
+    ("bracket", "bracket table of the solution basis", "input order cap point", cmd_bracket),
+    ("verify-coframe", "check a coframe's structure equations", "input", cmd_verify_coframe),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,70 +219,31 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mcforge",
         description="Maurer-Cartan structure equations of Lie pseudo-groups")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_input=True, order=True, cap=True):
-        if needs_input:
-            p.add_argument("input", help="determining-system file (@name for bundled)")
-        if order:
-            p.add_argument("--order", type=int, required=True)
-        if cap:
-            p.add_argument("--cap", type=int, default=None,
-                           help="max prolongation order for the fixed-point loop "
-                                "(at least --order)")
-        p.add_argument("--format", choices=["text", "latex", "json"], default="text")
-
-    p = sub.add_parser("structure", help="pseudo-group structure equations")
-    common(p)
-    p.set_defaults(func=cmd_structure)
-
-    p = sub.add_parser("diffeo", help="diffeomorphism structure equations")
-    p.add_argument("--dim", type=int, required=True)
-    common(p, needs_input=False)
-    p.set_defaults(func=cmd_structure)
-
-    p = sub.add_parser("lift", help="lifted determining relations")
-    common(p)
-    p.set_defaults(func=cmd_lift)
-
-    p = sub.add_parser("prolong", help="prolonged determining system")
-    common(p, cap=False)
-    p.set_defaults(func=cmd_prolong)
-
-    p = sub.add_parser("check-d2", help="verify d(d mu) = 0")
-    common(p)
-    p.set_defaults(func=cmd_check_d2)
-
-    p = sub.add_parser("check-duality",
-                       help="verify structure equations against jet brackets")
-    common(p)
-    p.add_argument("--point", default=None, help="evaluation point, e.g. x=1,y=2")
-    p.set_defaults(func=cmd_check_duality)
-
-    p = sub.add_parser("bracket", help="bracket table of the solution basis")
-    common(p)
-    p.add_argument("--point", default=None, help="evaluation point, e.g. x=1,y=2")
-    p.set_defaults(func=cmd_bracket)
-
-    p = sub.add_parser("verify-coframe", help="check a coframe's structure equations")
-    common(p, order=False, cap=False)
-    p.set_defaults(func=cmd_verify_coframe)
-
+    for name, help_text, reads, func in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        reads = reads.split() + ["format"]
+        for arg, (flags, options) in ARGUMENTS.items():
+            if arg in reads:
+                p.add_argument(*flags, **options)
+        # an argument the command does not read is None
+        p.set_defaults(func=func, **{arg: None for arg in ARGUMENTS if arg not in reads})
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        order, cap = getattr(args, "order", None), getattr(args, "cap", None)
-        if order is not None and order < 0:
+        if args.order is not None and args.order < 0:
             raise McforgeError("order must be >= 0")
-        if cap is not None and order is not None and cap < order:
-            raise McforgeError(f"--cap {cap} below --order {order}")
-        return args.func(args)
+        if args.cap is not None and args.cap < args.order:
+            raise McforgeError(f"--cap {args.cap} below --order {args.order}")
+        result = args.func(args)
     except McforgeError as exc:
         sys.stderr.write(_diag(f"error: {exc}") + "\n")
         return 2
+    text, ok = result if isinstance(result, tuple) else (result, True)
+    sys.stdout.write(text)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

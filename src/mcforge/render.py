@@ -1,8 +1,11 @@
 """Text, LaTeX and JSON emitters with stable, diffable ordering.
 
-Each report has one writer for every format.  A ``Notation`` says how text or
-LaTeX spells a generator, a coefficient, a wedge and an equation; JSON spells
-every atom as text does.
+Every command's report is written here, and only here: each report has one
+``render_*`` writer that takes the format and returns the text the command
+prints.  A ``Notation`` says how text or LaTeX spells a generator, a
+coefficient, a wedge and an equation; JSON spells every atom as text does.  A
+report with no LaTeX form (the prolonged system and the verdicts) prints its
+text for ``latex``.
 """
 
 from __future__ import annotations
@@ -14,11 +17,13 @@ from typing import Callable, NamedTuple
 
 import sympy as sp
 
+from .coordforms import CoframeReport, CoframeSession
 from .detsys import DeterminingSystem, LiftedRelations
 from .exterior import McGenerator, _gens
+from .jetalg import DualityReport, JetVectorField
 from .kernel import McforgeError, ScalarExpr, integers
 from .multiindex import render_index
-from .structure import StructureEquationSet
+from .structure import D2Report, StructureEquationSet
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +250,66 @@ def prolong_json_obj(sys: DeterminingSystem) -> dict:
                  for eq in sys.equations]
     return {"coords": sys.coords, "fields": sys.fields,
             "order": sys.order, "equations": equations}
+
+
+# ---------------------------------------------------------------------------
+# Verdicts and tables
+# ---------------------------------------------------------------------------
+
+
+def render_d2(report: D2Report, sys: DeterminingSystem, fmt: str) -> str:
+    """check-d2's verdict: every generator whose d^2 leaves a residue."""
+    failures = [gen_text(g, sys.coords, sys.targets) for g in report.failures()]
+    if fmt == "json":
+        return render_json({"order": report.order, "ok": report.ok, "failures": failures})
+    return "".join(f"nonzero residue for d^2 {g}\n" for g in failures) or "all residues zero\n"
+
+
+def render_duality(report: DualityReport, order: int, fmt: str) -> str:
+    """check-duality's verdict at structure order ``order``."""
+    if fmt == "json":
+        return render_json({"order": order, "pairings": report.pairings, "ok": report.ok,
+                            "violations": len(report.violations)})
+    return f"{report.pairings} pairings checked, {len(report.violations)} violations\n"
+
+
+def render_brackets(dimension: int, order: int,
+                    brackets: list[tuple[int, int, JetVectorField]], fmt: str) -> str:
+    """The bracket table of a solution basis of ``dimension`` order-``order`` jets:
+    (i, j, [v_i, v_j]) for each pair, each bracket's terms by index, then component."""
+    rows = [(i, j, sorted(br.coefficients.items(),
+                          key=lambda gc: (gc[0].index.sort_key(), gc[0].component)))
+            for i, j, br in brackets]
+    if fmt == "json":
+        return render_json({"dimension": dimension, "order": order, "brackets": [
+            {"i": i, "j": j,
+             "terms": [{"component": g.component, "index": list(g.index.entries),
+                        "coeff": coeff_text(c)} for g, c in terms]}
+            for i, j, terms in rows]})
+    lines = [f"solution basis dimension: {dimension}"]
+    for i, j, terms in rows:
+        body = " + ".join(f"({coeff_text(c)})*zeta[{g.component}]{list(g.index.entries)}"
+                          for g, c in terms) or "0"
+        lines.append(f"[v{i+1}, v{j+1}] = {body}")
+    return "\n".join(lines) + "\n"
+
+
+def render_coframe(session: CoframeSession, report: CoframeReport, fmt: str) -> str:
+    """verify-coframe's verdict: each form's status and residue terms, in declaration order."""
+    if fmt == "json":
+        return render_json({"verified": report.verified, "residues": {
+            name: [{"pair": list(key), "coeff": coeff_text(c)}
+                   for key, c in sorted(two.terms.items())]
+            for name, two in report.residues.items()}})
+    lines = []
+    for name in session.forms:
+        residue = report.residues.get(name)
+        if residue is not None and residue.is_zero:
+            lines.append(f"d{name}: ok")
+            continue
+        lines.append(f"d{name}: RESIDUE")
+        if residue is not None:
+            lines += [f"  residue term: ({coeff_text(c)}) d{s}^d{t}"
+                      for (s, t), c in sorted(residue.terms.items())]
+    lines.append("verified" if report.verified else "verification failed")
+    return "\n".join(lines) + "\n"

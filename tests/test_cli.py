@@ -248,6 +248,39 @@ def test_bad_point_exit_2(capsys):
     assert "unknown coordinate" in err
 
 
+@pytest.mark.parametrize("value", ["1e10000000", "2^5000", "0.5", "1/0"])
+def test_point_value_outside_the_grammar_exit_2_at_once(capsys, value):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check-duality", "@intransitive_translation.dsys",
+                         "--order", "0", "--point", f"x={value}")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad rational value {value!r} in --point: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value, same", [("2/3", "2/3"), ("-1", "-1"), ("0", "0"),
+                                         ("(2/3)^2", "4/9"), (" 6/4 ", "3/2")])
+def test_point_values_are_rationals(capsys, value, same):
+    argv = ["bracket", "@intransitive_translation.dsys", "--order", "2", "--point"]
+    expected = run(capsys, *argv, f"x=1,y={same}")
+    assert expected[0] == 0
+    assert run(capsys, *argv, f"y={value},x=1") == expected
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("bad.dsys", ["structure", "--order", "1"]),
+    ("bad.coframe", ["verify-coframe"]),
+])
+def test_input_that_is_not_utf8_exit_2(tmp_path, capsys, name, argv):
+    path = tmp_path / name
+    path.write_bytes(b"coords: x\n\xff\xfe\n")
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {str(path)!r}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["check-duality", "bracket"])
 def test_repeated_point_coordinate_exit_2(capsys, command):
     code, out, err = run(capsys, command, "@intransitive_translation.dsys",

@@ -42,6 +42,14 @@ CASES = [
       "--format", "json"]),
     ("verify_coframe_example2.json",
      ["verify-coframe", "@cartan_example2.coframe", "--format", "json"]),
+    ("verify_coframe_example2.txt", ["verify-coframe", "@cartan_example2.coframe"]),
+    ("check_d2_essential_o1.txt", ["check-d2", "@cartan_essential.dsys", "--order", "1"]),
+    ("check_d2_essential_o1.json",
+     ["check-d2", "@cartan_essential.dsys", "--order", "1", "--format", "json"]),
+    ("check_duality_essential_o1.txt",
+     ["check-duality", "@cartan_essential.dsys", "--order", "1"]),
+    ("check_duality_essential_o1.json",
+     ["check-duality", "@cartan_essential.dsys", "--order", "1", "--format", "json"]),
 ]
 
 
@@ -51,3 +59,11 @@ def test_golden_output(golden, argv, capsys, janet_file):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_bracket_latex_prints_its_text_form(capsys):
+    """bracket has no LaTeX form, so --format latex prints the text golden."""
+    code = main(["bracket", "@cartan_essential.dsys", "--order", "2",
+                 "--point", "x=2/3,y=-1,z=5", "--format", "latex"])
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / "bracket_essential_o2_point.txt").read_text()
