@@ -14,13 +14,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from importlib import resources
 from itertools import combinations
 
 from . import coordforms, detsys, jetalg, render, structure
 from .exterior import MissingRuleError
-from .kernel import SCALAR, ExprParser, McforgeError, ParseError, SymbolTable
+from .kernel import SCALAR, ExprParser, McforgeError, ParseError, SymbolTable, as_fraction
 
 
 def _diag(message: str) -> str:
@@ -64,7 +63,7 @@ def _parse_point(text: str | None, system: detsys.DeterminingSystem) -> dict:
             parsed = ExprParser(SymbolTable()).parse(value)
         except ParseError as exc:
             raise McforgeError(f"bad rational value {value!r} in --point: {exc}") from None
-        point[name] = parsed[SCALAR].as_fraction() if parsed else Fraction(0)
+        point[name] = as_fraction(parsed.get(SCALAR, 0))
     return point
 
 

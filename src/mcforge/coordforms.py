@@ -15,9 +15,9 @@ from .kernel import (
     ExprParser,
     McforgeError,
     ParseError,
-    ScalarExpr,
     SymbolKind,
     SymbolTable,
+    diff,
     echelon,
     split_names,
 )
@@ -42,7 +42,7 @@ class CoframeSession:
     table: SymbolTable
     symbols: list[str]
     forms: dict[str, CoordOneForm]
-    claims: dict[str, list[tuple[ScalarExpr, str, str]]]
+    claims: dict[str, list[tuple]]  # (coefficient, form name, form name)
 
     def symbol_order(self, name: str) -> int:
         return self.symbols.index(name)
@@ -52,7 +52,7 @@ def exterior_derivative(omega: CoordOneForm, session: CoframeSession) -> CoordTw
     """d(f ds) = sum_t (df/dt) dt ^ ds over the declared symbols."""
     out: dict = {}
     for s, f in omega.terms.items():
-        df = CoordOneForm({t: f.diff(session.table.lookup(t)) for t in session.symbols})
+        df = CoordOneForm({t: diff(f, session.table.lookup(t)) for t in session.symbols})
         _wedge_into(out, None, df, s, key=session.symbol_order)
     return CoordTwoForm(out)
 
@@ -103,7 +103,7 @@ class _FormParser(ExprParser):
         text = tok.text
         if self.table.get(text) is None and text.startswith("d") \
                 and self.table.get(text[1:]) is not None:
-            return {text[1:]: ScalarExpr(1, self.table)}
+            return {text[1:]: 1}
         return super().name(tok)
 
     def nonscalar(self, op):
@@ -123,7 +123,7 @@ class _ClaimParser(_FormParser):
 
     def name(self, tok):
         if tok.text in self.forms:
-            return {tok.text: ScalarExpr(1, self.table)}
+            return {tok.text: 1}
         return ExprParser.name(self, tok)  # d<symbol> is not a claim term
 
     def power(self, base, exponent, op):
@@ -140,7 +140,7 @@ def parse_coframe(text: str) -> CoframeSession:
     table = SymbolTable()
     symbols: list[str] = []
     forms: dict[str, CoordOneForm] = {}
-    claims: dict[str, list[tuple[ScalarExpr, str, str]]] = {}
+    claims: dict[str, list[tuple]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -21,17 +21,21 @@ from .kernel import (
     InvalidOrderError,
     McforgeError,
     ParseError,
-    ScalarExpr,
     Symbol,
     SymbolKind,
     SymbolTable,
     accumulate,
+    as_expr,
     back_substitute,
+    diff,
     echelon,
     eliminate_forward,
     graded_add,
     graded_neg,
+    is_constant,
+    quotient,
     split_names,
+    substitute,
 )
 from .multiindex import MultiIndex, all_indices
 
@@ -44,7 +48,7 @@ class NonlinearInputError(McforgeError):
 class LinearPdeEquation:
     """Homogeneous linear equation sum coeff(z) * zeta^b_A = 0."""
 
-    terms: dict[McGenerator, ScalarExpr]
+    terms: dict  # jet -> nonzero coefficient
 
     @property
     def order(self) -> int:
@@ -56,7 +60,7 @@ class LinearPdeEquation:
     def normal_key(self):
         # scale-invariant canonical key for deduplication
         c0 = self.terms[self.pivot()]
-        items = [((js.component, js.index.entries), c / c0)
+        items = [((js.component, js.index.entries), quotient(c, c0))
                  for js, c in self.terms.items()]
         items.sort(key=lambda it: it[0])
         return tuple(items)
@@ -64,7 +68,7 @@ class LinearPdeEquation:
 
 def _key_text(key) -> str:
     """A normal key spelled with sympy expressions, the tie-break between rows."""
-    return str(tuple((jet, c.expr) for jet, c in key))
+    return str(tuple((jet, as_expr(c)) for jet, c in key))
 
 
 class _Prolongation:
@@ -145,7 +149,7 @@ class _EquationParser(ExprParser):
             return {SCALAR: self.table.expr(text)}
         js = self._jet_symbol(text, tok)
         if js is not None:
-            return {js: ScalarExpr(1, self.table)}
+            return {js: 1}
         entry = self.table.get(text)
         if entry is not None and entry.kind is SymbolKind.TARGET:
             raise ParseError(
@@ -265,9 +269,9 @@ def total_derivative(eq: LinearPdeEquation, a: int,
                      sys: DeterminingSystem) -> LinearPdeEquation:
     """D_{z^a} of a linear equation: differentiate coefficients, shift jets."""
     z_a = sys.source_symbol(a)
-    terms: dict[McGenerator, ScalarExpr] = {}
+    terms: dict = {}
     for js, c in eq.terms.items():
-        accumulate(terms, js, c.diff(z_a))
+        accumulate(terms, js, diff(c, z_a))
         accumulate(terms, McGenerator(js.component, js.index.append(a)), c)
     return LinearPdeEquation(terms)
 
@@ -300,7 +304,7 @@ def _rows_to(sys: DeterminingSystem, n: int) -> list[list[LinearPdeEquation]]:
             kept: dict[tuple, tuple] = {}
             for eq in group:
                 c = eq.terms[pivot]
-                rank, key = (not c.is_constant, str(c.expr)), eq.normal_key()
+                rank, key = (not is_constant(c), str(as_expr(c))), eq.normal_key()
                 if key not in kept or rank < kept[key][0]:
                     kept[key] = (rank, eq)
             rows += [kept[key][1] for key in sorted(kept, key=_key_text)]
@@ -331,9 +335,9 @@ class SolvedSourceRelations:
 
     system: DeterminingSystem
     order: int
-    solved: dict[McGenerator, dict[McGenerator, ScalarExpr]]
+    solved: dict[McGenerator, dict]
     parametric: list[McGenerator]
-    assumptions: list[ScalarExpr]
+    assumptions: list
     stable: bool = True
 
 
@@ -418,7 +422,7 @@ class LiftedRelations:
     order: int
     solved: dict[McGenerator, OneForm]
     parametric: list[McGenerator]
-    assumptions: list[ScalarExpr]
+    assumptions: list
     stable: bool = True
 
 
@@ -427,8 +431,8 @@ def lift(solved: SolvedSourceRelations) -> LiftedRelations:
     sys = solved.system
     rename = {sys.source_symbol(a): sys.target_symbol(a) for a in range(sys.dim)}
 
-    lifted = {p: OneForm({j: v.substitute(rename) for j, v in rhs.items()})
+    lifted = {p: OneForm({j: substitute(v, rename) for j, v in rhs.items()})
               for p, rhs in solved.solved.items()}
-    assumptions = [a.substitute(rename) for a in solved.assumptions]
+    assumptions = [substitute(a, rename) for a in solved.assumptions]
     return LiftedRelations(sys, solved.order, lifted, list(solved.parametric),
                            assumptions, solved.stable)

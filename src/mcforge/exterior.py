@@ -1,4 +1,4 @@
-"""Formal exterior algebra in degree <= 3 over ScalarExpr coefficients.
+"""Formal exterior algebra in degree <= 3 over exact coefficients (see ``kernel``).
 
 Generators are the Maurer-Cartan symbols mu^a_A.  Wedge monomials are stored
 on strictly ordered generator tuples; the evaluation convention is
@@ -10,12 +10,6 @@ generator of a rule set is numbered once in ``sort_key`` order, so d of a
 two-form places one integer rank into an already sorted rank pair.
 Reduction passes a monomial that is strictly increasing and has no dependent
 generator through as it is, since substituting nothing changes nothing.
-
-The arithmetic of d of a two-form runs on plain constants: ``_RankedRules``
-and ``d_apply_two`` hold a constant coefficient as its ``int`` or
-``Fraction`` value, the one a constant ``ScalarExpr`` holds, and a
-non-constant coefficient as its ``ScalarExpr``, which takes a plain constant
-as an operand.  ``ScalarExpr`` wraps each sum once, in the returned form.
 """
 
 from __future__ import annotations
@@ -23,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Mapping, NamedTuple
 
-from .kernel import McforgeError, ScalarExpr, accumulate, graded_add, graded_neg
+from .kernel import McforgeError, accumulate, graded_add, graded_neg
 from .multiindex import MultiIndex, ordered_by_sort_key
 
 
@@ -70,7 +64,7 @@ class _FormBase:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {k: v for k, v in (terms or {}).items() if not v.is_zero}
+        self.terms = {k: v for k, v in (terms or {}).items() if v}
 
     @property
     def is_zero(self) -> bool:
@@ -110,11 +104,11 @@ class _FormBase:
 
 
 class OneForm(_FormBase):
-    """Finitely supported ScalarExpr-linear combination of generators."""
+    """Finitely supported linear combination of generators."""
 
     @classmethod
-    def generator(cls, g: McGenerator, one=None):
-        return cls({g: one if one is not None else ScalarExpr(1)})
+    def generator(cls, g: McGenerator):
+        return cls({g: 1})
 
 
 class TwoForm(_FormBase):
@@ -241,19 +235,14 @@ def d_apply(alpha: OneForm, rules: Mapping[McGenerator, TwoForm], rel) -> TwoFor
     return reduce_two(TwoForm(out), rel)
 
 
-def _plain(c: ScalarExpr):
-    """A constant coefficient as its ``int`` or ``Fraction`` value, any other as it is."""
-    return c.value if c.is_constant else c
-
-
 class _RankedRules:
     """A rule set d g = sum c p ^ q with every generator replaced by its rank.
 
     The ranks number all generators of the rules in ``sort_key`` order, so
     two ranks compare as their generators do.  Each rule is stored once as
-    (p, q, c) triples with p < q and c plain (see ``_plain``): an unsorted
-    monomial is sorted with its sign, and one with a repeated generator is
-    dropped.  ``rules`` maps each generator with a rule to (rank, triples).
+    (p, q, c) triples with p < q: an unsorted monomial is sorted with its
+    sign, and one with a repeated generator is dropped.  ``rules`` maps each
+    generator with a rule to (rank, triples).
     """
 
     __slots__ = ("gens", "rules")
@@ -269,7 +258,7 @@ class _RankedRules:
         for g, form in rules.items():
             canonical: dict = {}
             for (a, b), c in form.terms.items():
-                p, q, c = rank[a], rank[b], _plain(c)
+                p, q = rank[a], rank[b]
                 if p < q:
                     accumulate(canonical, (p, q), c)
                 elif q < p:
@@ -283,16 +272,14 @@ def d_apply_two(omega: TwoForm, rules: Mapping[McGenerator, TwoForm] | _RankedRu
 
     ``rules`` gives d of each generator, as a mapping or already ranked; a
     mapping is ranked here.  Each product of a rule's sorted rank pair with
-    one rank is sorted by at most two integer comparisons, and the sum, in
-    plain constants where it is constant, is mapped back to generator keys
-    and ``ScalarExpr`` coefficients before the relations reduce it.
+    one rank is sorted by at most two integer comparisons, and the sum is
+    mapped back to generator keys before the relations reduce it.
     """
     ranked = rules if isinstance(rules, _RankedRules) else _RankedRules(rules)
     out: dict = {}
     for (a, b), c in omega.terms.items():
         g, dg = _rule(ranked.rules, a)  # g and h are ranks
         h, dh = _rule(ranked.rules, b)
-        c = _plain(c)
         neg = -c
         for p, q, v in dg:  # c p^q^h: h moves left past q, then past p
             if q < h:
@@ -309,6 +296,5 @@ def d_apply_two(omega: TwoForm, rules: Mapping[McGenerator, TwoForm] | _RankedRu
             elif q < g:
                 accumulate(out, (p, q, g), neg * v)
     gens = ranked.gens
-    return reduce_three(ThreeForm({
-        (gens[i], gens[j], gens[k]): v if type(v) is ScalarExpr else ScalarExpr(v)
-        for (i, j, k), v in out.items()}), rel)
+    return reduce_three(ThreeForm({(gens[i], gens[j], gens[k]): v
+                                   for (i, j, k), v in out.items()}), rel)

@@ -8,14 +8,13 @@ extend them bilinearly, losing one order per bracket.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
 from .detsys import DeterminingSystem, solve_to_order
 from .exterior import McGenerator
-from .kernel import DegeneratePointError, McforgeError, ScalarExpr
+from .kernel import DegeneratePointError, McforgeError, as_fraction, substitute
 from .multiindex import MultiIndex, delete_one, multinomial
 from .structure import StructureEquationSet
 
@@ -42,25 +41,13 @@ def bracket_monomial(a: int, A: MultiIndex, b: int, B: MultiIndex
     return out
 
 
-def _rational(value) -> Fraction:
-    """An int, a Fraction or a constant ScalarExpr as an exact Fraction.
-
-    Jet coefficients and evaluation points take these; anything else, a
-    symbol included, is refused with McforgeError.
-    """
-    if isinstance(value, ScalarExpr):
-        return value.as_fraction()
-    if isinstance(value, numbers.Rational):
-        return Fraction(value)
-    raise McforgeError(f"{value!r} is not a rational number")
-
-
 class JetVectorField:
     """Truncated Taylor jet of a vector field at the session base point.
 
     Coefficients map each McGenerator (a, A), or its plain (a, A) pair, to
     a nonzero Fraction: a jet lives at one rational point, so its data are
-    exact rationals.  Everything of order above the truncation is dropped.
+    exact rationals (``kernel.as_fraction`` refuses anything else).
+    Everything of order above the truncation is dropped.
     """
 
     __slots__ = ("coefficients", "truncation")
@@ -72,7 +59,7 @@ class JetVectorField:
             if key[1].order > truncation:
                 continue
             if type(value) is not Fraction:
-                value = _rational(value)
+                value = as_fraction(value)
             if value:
                 coeffs[key] = value
         self.coefficients = coeffs
@@ -85,9 +72,9 @@ class JetVectorField:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def pair(self, g: McGenerator) -> ScalarExpr:
+    def pair(self, g: McGenerator) -> Fraction | int:
         """Dual pairing <mu^a_A, jet> = coefficient at (a, A)."""
-        return ScalarExpr(self.coefficients.get(g, 0))
+        return self.coefficients.get(g, 0)
 
     def truncate(self, order: int) -> "JetVectorField":
         if order > self.truncation:
@@ -107,7 +94,7 @@ class JetVectorField:
         return self + other.scale(-1)
 
     def scale(self, c) -> "JetVectorField":
-        c = _rational(c)
+        c = as_fraction(c)
         return JetVectorField(
             {k: v * c for k, v in self.coefficients.items()}, self.truncation)
 
@@ -145,7 +132,7 @@ def _point_map(sys: DeterminingSystem, point: Mapping[str, object], target: bool
     for a, coord in enumerate(sys.coords):
         if coord not in point:
             raise McforgeError(f"missing coordinate {coord!r} in evaluation point")
-        out[sys.table.lookup(names[a])] = _rational(point[coord])
+        out[sys.table.lookup(names[a])] = as_fraction(point[coord])
     return out
 
 
@@ -165,7 +152,7 @@ def solution_basis(sys: DeterminingSystem, point: Mapping[str, object],
     sol = solve_to_order(sys, N + 1, cap=cap)
     subs = _point_map(sys, point, target=False)
     for assumption in sol.assumptions:
-        if assumption.substitute(subs).is_zero:
+        if not substitute(assumption, subs):
             raise DegeneratePointError(
                 f"assumed-nonzero function {assumption} vanishes at the point")
     basis = []
@@ -178,7 +165,7 @@ def solution_basis(sys: DeterminingSystem, point: Mapping[str, object],
         for d, rhs in dependents:
             c = rhs.get(p)
             if c is not None:
-                coeffs[d] = c.substitute(subs).as_fraction()
+                coeffs[d] = as_fraction(substitute(c, subs))
         basis.append(JetVectorField(coeffs, N))
     return basis
 
@@ -208,7 +195,7 @@ def check_duality(eqs: StructureEquationSet, basis: list[JetVectorField],
     table: dict = {}
     for g in eqs.basis:
         for (h, k), c in eqs.equations[g].terms.items():
-            value = c.substitute(subs).as_fraction()
+            value = as_fraction(substitute(c, subs))
             if value:
                 table.setdefault((h, k), []).append((g, value))
                 table.setdefault((k, h), []).append((g, -value))
@@ -226,7 +213,7 @@ def check_duality(eqs: StructureEquationSet, basis: list[JetVectorField],
             left = lhs.get(g, 0)
             right = -br.get(g, 0)
             if left != right:
-                violations.append((g, i, j, ScalarExpr(left), ScalarExpr(right)))
+                violations.append((g, i, j, left, right))
     return DualityReport(pairings, violations)
 
 

@@ -1,23 +1,30 @@
 """Exact scalar arithmetic: rational functions over QQ in declared symbols.
 
-Every coefficient anywhere in the engine is a ScalarExpr, held in one of two
-exact representations.  A rational constant, which nearly every value is, is
-an ``int`` when it is integral, else a ``fractions.Fraction``.  Any other value
-is an element of the one rational-function field over QQ
-(``sympy.polys.fields``) that its SymbolTable builds in the declared symbols.
-The field keeps numerator and denominator coprime with normalized signs, so
-equal values are structurally identical: equality is decidable without
-simplifying, which is what makes row reduction and all downstream
-verification exact.
+A coefficient anywhere in the engine is a value of one of three kinds.  A
+rational constant, which nearly every value is, is a plain ``int`` or
+``fractions.Fraction``.  Any other value is a ``ScalarExpr``: an element of
+the one rational-function field over QQ (``sympy.polys.fields``) that its
+SymbolTable builds in the declared symbols.  A ScalarExpr is never constant,
+so the two never meet in one value.  The field keeps numerator and
+denominator coprime with normalized signs, so equal values are structurally
+identical: equality is decidable without simplifying, which is what makes row
+reduction and all downstream verification exact.
+
+This module is the only one that knows how a value is held.  Other modules
+combine values with ``+ - *`` and call the functions below for the rest:
+``quotient`` and ``power`` (a quotient of two constants is a ``Fraction`` or
+an ``int``, never a float), ``diff``, ``substitute``, ``degree``,
+``free_names``, ``as_fraction``, ``as_expr`` and the builder ``exact``.
 
 No arithmetic goes through sympy expressions or sympy's simplifier.  A sympy
-``Expr`` appears only at the edges: ``ScalarExpr.expr`` (rendering, and the
-normal form of genericity-ledger entries) and a value built from an ``Expr``.
+``Expr`` appears only at the edges: ``as_expr`` (rendering, and the normal
+form of genericity-ledger entries) and a value built from an ``Expr``.
 """
 
 from __future__ import annotations
 
 import enum
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -147,13 +154,13 @@ class SymbolTable:
         return ScalarExpr(self.generator(symbol), self)
 
     def record_nonzero(self, value: "ScalarExpr") -> None:
-        # a value seen before is constant or already in the ledger
+        """Add the non-constant ``value`` to the ledger, in normal form, unless it is there."""
         if value in self._recorded:
             return
         self._recorded.add(value)
         expr = _nonzero_normal_form(value.expr)
         if expr is not None and all(expr != a.expr for a in self.assumed_nonzero):
-            self.assumed_nonzero.append(ScalarExpr(expr, self))
+            self.assumed_nonzero.append(exact(expr, self))
 
 
 def _nonzero_normal_form(expr: sp.Expr):
@@ -174,44 +181,30 @@ def _nonzero_normal_form(expr: sp.Expr):
     return num
 
 
-def _coerce(value, table):
-    if isinstance(value, ScalarExpr):
-        return value
-    if isinstance(value, (int, Fraction, sp.Expr)):
-        return ScalarExpr(value, table)
-    raise TypeError(f"cannot interpret {value!r} as a ScalarExpr")
-
-
-# the types of a constant ScalarExpr value: ``type(value) in _CONSTANT``
+# the types of a constant
 _CONSTANT = (int, Fraction)
 
 
 def _constant(q: Fraction):
-    """A rational constant as a ScalarExpr value: its numerator when it is integral."""
+    """A rational constant as a value: its numerator when it is integral."""
     return q.numerator if q.denominator == 1 else q
 
 
-def _in_field(value, field: FracField):
-    """A ScalarExpr's value as an operand of ``field``'s arithmetic."""
-    if type(value) is int:
-        return QQ(value)
-    if type(value) is Fraction:
-        return QQ(value.numerator, value.denominator)
-    return value if value.field is field else value.set_field(field)
+def _in_field(c, field: FracField):
+    """A ScalarExpr or a constant as an operand of ``field``'s arithmetic."""
+    if type(c) is ScalarExpr:
+        f = c.value
+        return f if f.field is field else f.set_field(field)
+    return QQ(c.numerator, c.denominator)
 
 
-def _field_value(f: FracElement, table: SymbolTable | None):
-    """A canonical field element as a ScalarExpr value: an int or a Fraction when it
-    is constant."""
+def _build(f: FracElement, table: SymbolTable | None):
+    """A canonical field element as a value: a constant when it is one."""
     numer, denom = f.numer, f.denom
     if numer.is_ground and denom.is_ground:
         q = numer.LC / denom.LC
-        if q.denominator == 1:
-            return int(q.numerator)
-        return Fraction(int(q.numerator), int(q.denominator))
-    if table is None:
-        raise McforgeError(f"{f} is not constant and has no symbol table")
-    return f
+        return _constant(Fraction(int(q.numerator), int(q.denominator)))
+    return ScalarExpr(f, table)
 
 
 def _content(p) -> int:
@@ -219,8 +212,8 @@ def _content(p) -> int:
     return gcd(*[int(c.numerator) for c in p.itercoeffs()])
 
 
-def _scaled(f: FracElement, q: int | Fraction, table: SymbolTable, invert: bool = False):
-    """q * f, or q / f with ``invert``, for a non-constant f and a nonzero constant q.
+def _scaled(c: "ScalarExpr", q: int | Fraction, invert: bool = False) -> "ScalarExpr":
+    """q * c, or q / c with ``invert``, for a nonzero constant q.
 
     A canonical field element has coprime numerator and denominator with
     integer coefficients, no common integer content, and a denominator whose
@@ -229,7 +222,8 @@ def _scaled(f: FracElement, q: int | Fraction, table: SymbolTable, invert: bool 
     polynomial gcd runs, and the result is the element the field's own
     arithmetic would build.
     """
-    f = _in_field(f, table.field)
+    table = c.table
+    f = _in_field(c, table.field)
     numer, denom = f.numer, f.denom
     if invert:
         numer, denom = denom, numer
@@ -242,151 +236,82 @@ def _scaled(f: FracElement, q: int | Fraction, table: SymbolTable, invert: bool 
 
 
 class ScalarExpr:
-    """An exact scalar: a rational constant or a rational function over QQ.
+    """A non-constant rational function over QQ: an element of its table's ``field``.
 
-    A constant is an ``int`` when it is integral and a ``Fraction`` otherwise,
-    and its arithmetic never calls sympy.  Any other value is an element of
-    its symbol table's ``field``, kept canonical (numerator and denominator
-    coprime, signs fixed by the generator order).  Equality is structural, so
-    a constant never equals a non-constant.  ``expr``, the value as a sympy
-    expression, is built on first use.
+    The element is kept canonical (numerator and denominator coprime, signs
+    fixed by the generator order), so equality is structural.  A constant is
+    never a ScalarExpr: the constructor refuses one, an operation whose result
+    is constant (``x / x``) returns an ``int`` or a ``Fraction``, and every
+    operand may be either.  The table is kept for its field and its
+    genericity ledger.  ``expr``, the value as a sympy expression, is built on
+    first use.
     """
 
     __slots__ = ("value", "table", "_expr")
 
     def __init__(self, expr, table: SymbolTable | None = None):
-        self.table = table
-        self._expr = None
-        if type(expr) is int:
-            value = expr
-        elif type(expr) is Fraction:
-            value = _constant(expr)
-        elif isinstance(expr, FracElement):
-            value = _field_value(expr, table)
-        elif isinstance(expr, _CONSTANT):
-            value = _constant(Fraction(expr))
-        elif isinstance(expr, sp.Expr) and expr.is_Rational:
-            value = _constant(Fraction(int(expr.p), int(expr.q)))
-            self._expr = expr
-        elif isinstance(expr, sp.Expr) and table is not None:
-            try:
-                value = _field_value(table.field.from_expr(expr), table)
-            except ValueError:
-                raise McforgeError(
-                    f"{expr} is not a rational function of declared symbols") from None
-        elif isinstance(expr, sp.Expr):
-            raise McforgeError(f"{expr} is not constant and has no symbol table")
-        else:
-            raise TypeError(f"cannot interpret {expr!r} as a ScalarExpr")
-        self.value = value
-
-    # -- predicates ----------------------------------------------------
+        if not isinstance(expr, FracElement) or table is None \
+                or (expr.numer.is_ground and expr.denom.is_ground):
+            raise McforgeError(f"a ScalarExpr is a non-constant element of a symbol "
+                               f"table's field, not {expr!r}")
+        self.value, self.table, self._expr = expr, table, None
 
     @property
     def expr(self) -> sp.Expr:
         if self._expr is None:
-            value = self.value
-            self._expr = (sp.Rational(value.numerator, value.denominator)
-                          if type(value) in _CONSTANT else value.as_expr())
+            self._expr = self.value.as_expr()
         return self._expr
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.value
+    # -- arithmetic: the other operand is a ScalarExpr or a constant -----
 
-    @property
-    def is_constant(self) -> bool:
-        return type(self.value) in _CONSTANT
+    def _operands(self, c):
+        field = self.table.field
+        return _in_field(self, field), _in_field(c, field)
 
-    def as_fraction(self) -> Fraction:
-        value = self.value
-        if type(value) is int:
-            return Fraction(value)
-        if type(value) is not Fraction:
-            raise McforgeError(f"{self} is not a rational constant")
-        return value
-
-    @property
-    def degree(self) -> int:
-        """Total degree of the numerator or the denominator, whichever is larger."""
-        if type(self.value) in _CONSTANT:
-            return 0
-        return max(sum(m) for p in (self.value.numer, self.value.denom)
-                   for m in p.itermonoms())
-
-    @property
-    def free_names(self) -> set[str]:
-        if type(self.value) in _CONSTANT:
-            return set()
-        f = self.value
-        exponents = zip(*f.numer.itermonoms(), *f.denom.itermonoms())
-        return {s.name for s, e in zip(f.field.symbols, exponents) if any(e)}
-
-    # -- arithmetic ----------------------------------------------------
-
-    def _operands(self, value):
-        """(a, b, table): self and value as two constants or as two field operands."""
-        other = _coerce(value, self.table)
-        table = self.table or other.table
-        a, b = self.value, other.value
-        if type(a) in _CONSTANT and type(b) in _CONSTANT:
-            return a, b, table
-        field = table.field
-        return _in_field(a, field), _in_field(b, field), table
-
-    def __add__(self, value):
-        if type(value) is ScalarExpr:
-            a, b = self.value, value.value
-            if type(a) in _CONSTANT and type(b) in _CONSTANT:
-                return ScalarExpr(a + b, self.table or value.table)
-        a, b, table = self._operands(value)
-        return ScalarExpr(a + b, table)
+    def __add__(self, c):
+        if not isinstance(c, _KINDS):
+            return NotImplemented
+        a, b = self._operands(c)
+        return _build(a + b, self.table)
 
     __radd__ = __add__
 
-    def __sub__(self, value):
-        a, b, table = self._operands(value)
-        return ScalarExpr(a - b, table)
+    def __sub__(self, c):
+        if not isinstance(c, _KINDS):
+            return NotImplemented
+        a, b = self._operands(c)
+        return _build(a - b, self.table)
 
-    def __rsub__(self, value):
-        a, b, table = self._operands(value)
-        return ScalarExpr(b - a, table)
+    def __rsub__(self, c):
+        if not isinstance(c, _CONSTANT):
+            return NotImplemented
+        a, b = self._operands(c)
+        return _build(b - a, self.table)
 
-    def __mul__(self, value):
-        if type(value) is ScalarExpr:
-            a, b = self.value, value.value
-            if type(a) in _CONSTANT and type(b) in _CONSTANT:
-                return ScalarExpr(a * b, self.table or value.table)
-        other = _coerce(value, self.table)
-        a, b = self.value, other.value
-        a_constant, b_constant = type(a) in _CONSTANT, type(b) in _CONSTANT
-        if a_constant and a and not b_constant:
-            return _scaled(b, a, self.table or other.table)
-        if b_constant and b and not a_constant:
-            return _scaled(a, b, self.table or other.table)
-        a, b, table = self._operands(other)
-        return ScalarExpr(a * b, table)
+    def __mul__(self, c):
+        if type(c) is ScalarExpr:
+            a, b = self._operands(c)
+            return _build(a * b, self.table)
+        if not isinstance(c, _CONSTANT):
+            return NotImplemented
+        return _scaled(self, c) if c else 0
 
     __rmul__ = __mul__
 
-    def __truediv__(self, value):
-        other = _coerce(value, self.table)
-        a, b = self.value, other.value
-        if not b:
+    def __truediv__(self, c):
+        if type(c) is ScalarExpr:
+            a, b = self._operands(c)
+            return _build(a / b, self.table)
+        if not isinstance(c, _CONSTANT):
+            return NotImplemented
+        if not c:
             raise ZeroDivisionFunctionError("division by the zero function")
-        table = self.table or other.table
-        a_constant, b_constant = type(a) in _CONSTANT, type(b) in _CONSTANT
-        if a_constant and b_constant:
-            return ScalarExpr(Fraction(a, b), table)
-        if b_constant:
-            return _scaled(a, Fraction(1, b), table)
-        if a_constant and a:
-            return _scaled(b, a, table, invert=True)
-        a, b, table = self._operands(other)
-        return ScalarExpr(a / b, table)
+        return _scaled(self, Fraction(c.denominator, c.numerator))
 
-    def __rtruediv__(self, value):
-        return _coerce(value, self.table) / self
+    def __rtruediv__(self, c):
+        if not isinstance(c, _CONSTANT):
+            return NotImplemented
+        return _scaled(self, c, invert=True) if c else 0
 
     def __neg__(self):
         return ScalarExpr(-self.value, self.table)
@@ -394,41 +319,24 @@ class ScalarExpr:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             raise McforgeError("only integer exponents are supported")
-        value = self.value
-        if exponent < 0 and self.is_zero:
-            raise ZeroDivisionFunctionError("negative power of the zero function")
-        if type(value) in _CONSTANT:
-            # an int to a negative power would be a float
-            return ScalarExpr(Fraction(value) ** exponent if exponent < 0
-                              else value ** exponent, self.table)
-        if exponent >= 0:
-            return ScalarExpr(value ** exponent, self.table)
-        power = value ** -exponent
+        if not exponent:
+            return 1
+        if exponent > 0:
+            return ScalarExpr(self.value ** exponent, self.table)
+        power = self.value ** -exponent
         return ScalarExpr(power.field.new(power.denom, power.numer), self.table)
 
-    # -- calculus ------------------------------------------------------
-
-    def diff(self, symbol: Symbol) -> "ScalarExpr":
-        if type(self.value) in _CONSTANT:
-            return ScalarExpr(0, self.table)
-        table = self.table
-        return ScalarExpr(_in_field(self.value, table.field).diff(table.generator(symbol)),
-                          table)
-
-    def substitute(self, mapping: Mapping[Symbol, "Symbol | ScalarExpr | int | Fraction"]
-                   ) -> "ScalarExpr":
+    def substitute(self, mapping: Mapping[Symbol, "Symbol | ScalarExpr | int | Fraction"]):
         """Replace symbols simultaneously by symbols, rational constants or polynomials."""
-        if type(self.value) in _CONSTANT:
-            return ScalarExpr(self.value, self.table)
         table = self.table
         field = table.field
-        f = _in_field(self.value, field)
+        f = _in_field(self, field)
         pairs = []
         for symbol, value in mapping.items():
             if isinstance(value, Symbol):
                 value = table.generator(value)
             else:
-                value = _in_field(_coerce(value, table).value, field)
+                value = _in_field(value, field)
             if isinstance(value, FracElement):
                 if value.denom != 1:
                     raise McforgeError(f"cannot substitute the non-polynomial {value}")
@@ -438,31 +346,18 @@ class ScalarExpr:
         if not denom:
             raise DegeneratePointError(
                 f"substitution into {self.expr} produced a zero denominator")
-        return ScalarExpr(field.new(numer, denom), table)
+        return _build(field.new(numer, denom), table)
 
-    # -- identity ------------------------------------------------------
+    # -- identity: a ScalarExpr never equals a constant ------------------
 
-    def __eq__(self, value) -> bool:
-        if not isinstance(value, (int, Fraction, ScalarExpr, sp.Expr)):
-            return NotImplemented
-        other = _coerce(value, self.table)
-        a, b = self.value, other.value
-        # an int is integral and a Fraction is not, so neither equals the other
-        if type(a) is not type(b):
-            return False
-        if type(a) in _CONSTANT:
+    def __eq__(self, c) -> bool:
+        if type(c) is ScalarExpr:
+            a, b = self._operands(c)
             return a == b
-        field = self.table.field
-        return _in_field(a, field) == _in_field(b, field)
+        return False if isinstance(c, _CONSTANT) else NotImplemented
 
     def __hash__(self):
-        value = self.value
-        if type(value) in _CONSTANT:
-            return hash(value)
-        return hash(_in_field(value, self.table.field))
-
-    def __bool__(self):
-        return bool(self.value)
+        return hash(_in_field(self, self.table.field))
 
     def __repr__(self):
         return f"ScalarExpr({self.expr})"
@@ -471,14 +366,103 @@ class ScalarExpr:
         return sp.sstr(self.expr, order="lex")
 
 
+# the kinds of value: a constant or a ScalarExpr
+_KINDS = (int, Fraction, ScalarExpr)
+
+
 # ---------------------------------------------------------------------------
-# Sparse Gauss-Jordan elimination over ScalarExpr
+# Functions over every kind of value
 # ---------------------------------------------------------------------------
 
 
-def accumulate(terms: dict, key, c: ScalarExpr | int | Fraction) -> None:
-    """terms[key] += c in place, for ScalarExprs, plain constants or a mix of the two;
-    a zero c adds nothing and a sum that cancels is dropped."""
+def exact(value, table: SymbolTable | None = None):
+    """``value`` as a constant or a ScalarExpr of ``table``.
+
+    ``value`` is an ``int``, a ``Fraction``, a sympy rational, an element of
+    ``table``'s field or a sympy rational function of its declared symbols.
+    """
+    if isinstance(value, numbers.Rational):
+        return _constant(Fraction(int(value.numerator), int(value.denominator)))
+    if isinstance(value, sp.Expr) and table is not None:
+        try:
+            value = table.field.from_expr(value)
+        except ValueError:
+            raise McforgeError(
+                f"{value} is not a rational function of declared symbols") from None
+    if isinstance(value, FracElement):
+        return _build(value, table)
+    raise McforgeError(f"cannot interpret {value!r} as an exact scalar")
+
+
+def is_constant(c) -> bool:
+    return type(c) is not ScalarExpr
+
+
+def as_fraction(c) -> Fraction:
+    """A constant as a Fraction; anything else is refused with McforgeError."""
+    if isinstance(c, numbers.Rational):
+        return Fraction(c)
+    raise McforgeError(f"{c} is not a rational constant")
+
+
+def as_expr(c) -> sp.Expr:
+    """``c`` as a sympy expression, for printing and for the ledger."""
+    if type(c) is ScalarExpr:
+        return c.expr
+    return sp.Rational(c.numerator, c.denominator)
+
+
+def quotient(a, b):
+    """a / b for values of any kind: two constants give a Fraction, or an int when
+    it is integral, where Python's ``/`` would give a float."""
+    if type(a) is ScalarExpr or type(b) is ScalarExpr:
+        return a / b
+    if not b:
+        raise ZeroDivisionFunctionError("division by the zero function")
+    return _constant(Fraction(a, b))
+
+
+def power(c, n: int):
+    """c ** n for an integer n, through ``quotient`` where n is negative."""
+    if type(c) is ScalarExpr:
+        return c ** n
+    return quotient(c ** n, 1) if n >= 0 else quotient(1, c ** -n)
+
+
+def diff(c, symbol: Symbol):
+    if type(c) is not ScalarExpr:
+        return 0
+    table = c.table
+    return _build(_in_field(c, table.field).diff(table.generator(symbol)), table)
+
+
+def substitute(c, mapping: Mapping):
+    """``c`` with symbols replaced as ``ScalarExpr.substitute`` does; a constant is kept."""
+    return c.substitute(mapping) if type(c) is ScalarExpr else c
+
+
+def free_names(c) -> set[str]:
+    if type(c) is not ScalarExpr:
+        return set()
+    f = c.value
+    exponents = zip(*f.numer.itermonoms(), *f.denom.itermonoms())
+    return {s.name for s, e in zip(f.field.symbols, exponents) if any(e)}
+
+
+def degree(c) -> int:
+    """Total degree of the numerator or the denominator, whichever is larger."""
+    if type(c) is not ScalarExpr:
+        return 0
+    return max(sum(m) for p in (c.value.numer, c.value.denom) for m in p.itermonoms())
+
+
+# ---------------------------------------------------------------------------
+# Sparse Gauss-Jordan elimination over values of every kind
+# ---------------------------------------------------------------------------
+
+
+def accumulate(terms: dict, key, c) -> None:
+    """terms[key] += c in place; a zero c adds nothing and a sum that cancels is dropped."""
     if not c:
         return
     cur = terms.get(key)
@@ -490,7 +474,7 @@ def accumulate(terms: dict, key, c: ScalarExpr | int | Fraction) -> None:
     terms[key] = c
 
 
-def _add_multiple(row: dict, other: dict, c: ScalarExpr) -> None:
+def _add_multiple(row: dict, other: dict, c) -> None:
     """row += c * other in place, dropping entries that cancel."""
     for j, v in other.items():
         accumulate(row, j, c * v)
@@ -518,10 +502,10 @@ def eliminate_forward(forward: dict, rows: Iterable[Mapping], key) -> int:
             redundant += 1
             continue
         c = row.pop(pivot)
-        if not c.is_constant:
+        if type(c) is ScalarExpr:
             c.table.record_nonzero(c)
         minus_c = -c
-        forward[pivot] = {j: v / minus_c for j, v in row.items()}
+        forward[pivot] = {j: quotient(v, minus_c) for j, v in row.items()}
     return redundant
 
 
@@ -557,7 +541,7 @@ def echelon(rows: Iterable[Mapping], key) -> tuple[dict, int]:
 
 
 # ---------------------------------------------------------------------------
-# Graded values: a dict from basis key to nonzero ScalarExpr, the scalar part
+# Graded values: a dict from basis key to nonzero value, the scalar part
 # under the key SCALAR.  Every input grammar parses into one, and a form's
 # terms are one with no scalar part.
 # ---------------------------------------------------------------------------
@@ -627,18 +611,16 @@ def tokenize(text: str, line_offset: int = 1, column: int = 1) -> list[Token]:
     return tokens
 
 
-def integers(c: ScalarExpr | Fraction) -> list[int]:
+def integers(c) -> list[int]:
     """The integers that spell ``c``: its numerator and denominator when
     constant, else those of every coefficient."""
-    if isinstance(c, ScalarExpr):
-        if not c.is_constant:
-            return [int(part) for poly in (c.value.numer, c.value.denom)
-                    for q in poly.coeffs() for part in (q.numerator, q.denominator)]
-        c = c.as_fraction()
+    if type(c) is ScalarExpr:
+        return [int(part) for poly in (c.value.numer, c.value.denom)
+                for q in poly.coeffs() for part in (q.numerator, q.denominator)]
     return [c.numerator, c.denominator]
 
 
-def _bits(c: ScalarExpr) -> int:
+def _bits(c) -> int:
     """Bit length of the largest integer in ``c``."""
     return max(i.bit_length() for i in integers(c))
 
@@ -683,19 +665,26 @@ class ExprParser:
         """The integer a graded value stands for, as the exponent of '^' at ``op``."""
         if not value:
             return 0
-        if value.keys() != {SCALAR} or type(value[SCALAR].value) is not int:
+        if value.keys() != {SCALAR} or not is_constant(value[SCALAR]) or value[SCALAR] % 1:
             raise ParseError("exponent must be an integer", op.line, op.col)
-        return value[SCALAR].value
+        return int(value[SCALAR])
 
-    def check_power(self, c: ScalarExpr, n: int, op: Token) -> None:
-        """Refuse c^n at ``op`` when its result would exceed the power bounds."""
-        if c.is_constant:
-            size, limit, unit = abs(n) * _bits(c), MAX_POWER_BITS, "bits"
-        else:
-            size, limit, unit = abs(n) * c.degree, MAX_POWER_DEGREE, "degree"
-        if size > limit:
-            raise ParseError(f"power too large: {unit} {size} exceeds {limit}",
-                             op.line, op.col)
+    def bounded_power(self, c, n: int, op: Token):
+        """c^n, refused at ``op`` when it would exceed the power bounds: MAX_POWER_DEGREE
+        in total degree, or MAX_POWER_BITS in the numerator or denominator of a constant."""
+        if not is_constant(c):
+            size = abs(n) * degree(c)
+            if size > MAX_POWER_DEGREE:
+                raise ParseError(f"power too large: degree {size} exceeds {MAX_POWER_DEGREE}",
+                                 op.line, op.col)
+            return power(c, n)
+        # a k-th power of a b-bit integer has at least k (b - 1) + 1 bits; refuse on
+        # that before building anything, so what is built has at most ~2 MAX_POWER_BITS
+        if all(abs(n) * (i.bit_length() - 1) < MAX_POWER_BITS for i in integers(c)):
+            c = power(c, n)
+            if _bits(c) <= MAX_POWER_BITS:
+                return c
+        raise ParseError(f"power too large: more than {MAX_POWER_BITS} bits", op.line, op.col)
 
     def bounded(self, value: dict, op: Token) -> dict:
         """``value``, the result of ``op``, unless an integer in it exceeds MAX_POWER_BITS."""
@@ -715,13 +704,13 @@ class ExprParser:
         self.depth -= 1
         return value
 
-    def divisor(self, c: ScalarExpr) -> ScalarExpr:
+    def divisor(self, c):
         """``c``, recorded in the genericity ledger when it is not constant."""
-        if not c.is_constant:
+        if not is_constant(c):
             self.table.record_nonzero(c)
         return c
 
-    def scalar(self, c: ScalarExpr) -> dict:
+    def scalar(self, c) -> dict:
         return {SCALAR: c} if c else {}
 
     def parse(self, text: str, line_offset: int = 1, column: int = 1) -> dict:
@@ -765,7 +754,7 @@ class ExprParser:
                 if not rhs:
                     raise ParseError("division by zero", op.line, op.col)
                 # one inverse, then a product per term
-                rhs = {SCALAR: 1 / self.divisor(rhs[SCALAR])}
+                rhs = {SCALAR: quotient(1, self.divisor(rhs[SCALAR]))}
             value = {k: v * rhs[SCALAR] for k, v in value.items()} if rhs else {}
             self.bounded(value, op)
         return value
@@ -788,13 +777,13 @@ class ExprParser:
         if not (is_scalar(base) and is_scalar(exponent)):
             return self.bounded(self.power(base, exponent, op), op)
         n = self.exponent(exponent, op)
-        c = base[SCALAR] if base else ScalarExpr(0, self.table)
+        c = base.get(SCALAR, 0)
         if n < 0 and not c:
             raise ParseError("division by zero", op.line, op.col)
-        self.check_power(c, n, op)
+        value = self.bounded_power(c, n, op)
         if n < 0:
             self.divisor(c)
-        return self.bounded(self.scalar(c ** n), op)
+        return self.bounded(self.scalar(value), op)
 
     def parse_atom(self):
         tok = self.next()
@@ -804,7 +793,7 @@ class ExprParser:
             if len(digits) > _MAX_DIGITS:
                 raise ParseError(f"integer too large: more than {MAX_POWER_BITS} bits",
                                  tok.line, tok.col)
-            return self.bounded(self.scalar(ScalarExpr(int(digits), self.table)), tok)
+            return self.bounded(self.scalar(int(digits)), tok)
         if tok.kind == "name":
             return self.name(tok)
         if tok.text == "(":

@@ -11,7 +11,6 @@ text for ``latex``.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from sys import get_int_max_str_digits
 from typing import Callable, NamedTuple
 
@@ -21,7 +20,7 @@ from .coordforms import CoframeReport, CoframeSession
 from .detsys import DeterminingSystem, LiftedRelations
 from .exterior import McGenerator, _gens
 from .jetalg import DualityReport, JetVectorField
-from .kernel import McforgeError, ScalarExpr, integers
+from .kernel import McforgeError, as_expr, as_fraction, integers, is_constant
 from .multiindex import render_index
 from .structure import D2Report, StructureEquationSet
 
@@ -31,7 +30,7 @@ from .structure import D2Report, StructureEquationSet
 # ---------------------------------------------------------------------------
 
 
-def _check_printable(c: ScalarExpr | Fraction) -> None:
+def _check_printable(c) -> None:
     """Refuse ``c`` if an integer in it has more digits than Python converts to text."""
     limit = get_int_max_str_digits()
     big = max(map(abs, integers(c)))
@@ -41,19 +40,23 @@ def _check_printable(c: ScalarExpr | Fraction) -> None:
                            f"{big.bit_length()} bits, more than {limit} digits")
 
 
-def coeff_text(c: ScalarExpr | Fraction) -> str:
-    _check_printable(c)
+def coeff_text(c) -> str:
     # str of an int or a Fraction spells it exactly as sympy prints the equal
-    # Integer or Rational, so a constant needs no sympy expression
-    value = c if isinstance(c, Fraction) else c.value
-    if isinstance(value, (int, Fraction)):
-        return str(value)
-    return sp.sstr(c.expr, order="lex")
-
-
-def coeff_latex(c: ScalarExpr) -> str:
+    # Integer or Rational, and str of a ScalarExpr is sympy's
     _check_printable(c)
-    return sp.latex(c.expr, order="lex")
+    return str(c)
+
+
+def coeff_latex(c) -> str:
+    # a constant is spelled as sympy's LaTeX printer spells the equal Rational
+    _check_printable(c)
+    if not is_constant(c):
+        return sp.latex(as_expr(c), order="lex")
+    q = as_fraction(c)
+    if q.denominator == 1:
+        return str(q.numerator)
+    sign = "- " if q < 0 else ""
+    return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
 
 
 class Notation(NamedTuple):
@@ -97,15 +100,13 @@ def jet_text(js: McGenerator, sys: DeterminingSystem) -> str:
     return f"{name}_{render_index(js.index, sys.coords)}"
 
 
-def _with_coeff(c: ScalarExpr, body: str, notation: Notation, times: str) -> str:
-    # c.value, not c, meets 1 and -1: ScalarExpr == int builds a ScalarExpr per test
-    unit = c.value if c.is_constant else None
-    if unit == 1:
+def _with_coeff(c, body: str, notation: Notation, times: str) -> str:
+    if c == 1:
         return body
-    if unit == -1:
+    if c == -1:
         return f"-{body}"
     text = notation.coeff(c)
-    if unit is None and c.expr.is_Add:
+    if not is_constant(c) and as_expr(c).is_Add:
         text = f"{notation.parens[0]}{text}{notation.parens[1]}"
     return f"{text}{times}{body}"
 

@@ -20,7 +20,7 @@ from .exterior import (
     d_apply_two,
     reduce_two,
 )
-from .kernel import InvalidOrderError, McforgeError, ScalarExpr, accumulate
+from .kernel import InvalidOrderError, McforgeError, accumulate, free_names
 from .multiindex import MultiIndex, splits
 
 
@@ -30,7 +30,7 @@ class InternalReductionError(McforgeError):
 
 def diffeo_structure_equation(a: int, C: MultiIndex, m: int) -> TwoForm:
     """d mu^a_C for the full diffeomorphism pseudo-group, no relations applied;
-    the weights are summed as ``int``s and each sum wrapped once."""
+    its coefficients are sums of the ``int`` weights."""
     terms: dict = {}
     for A, B, weight in splits(C):
         for b in range(m):
@@ -40,7 +40,7 @@ def diffeo_structure_equation(a: int, C: MultiIndex, m: int) -> TwoForm:
                 accumulate(terms, (g, h), weight)
             elif kh < kg:
                 accumulate(terms, (h, g), -weight)
-    return TwoForm({k: ScalarExpr(v) for k, v in terms.items()})
+    return TwoForm(terms)
 
 
 @dataclass
@@ -53,7 +53,7 @@ class StructureEquationSet:
     basis: list[McGenerator]
     equations: dict[McGenerator, TwoForm]
     relations: LiftedRelations
-    assumptions: list[ScalarExpr]
+    assumptions: list
     coefficient_dependence: dict[McGenerator, list[str]] = field(default_factory=dict)
     stable: bool = True
 
@@ -105,7 +105,7 @@ def pseudo_group_structure(sys: DeterminingSystem, n: int,
             reduced = memo[key] = reduce_two(raw, relations)
         used = set()
         for coeff in reduced.terms.values():
-            names = coeff.free_names
+            names = free_names(coeff)
             if names & source_names:
                 raise InternalReductionError(
                     f"source coordinates {names & source_names} in d{g}")

@@ -19,15 +19,14 @@ from mcforge.exterior import (
     wedge_two_one,
 )
 from mcforge.jetalg import JacobiReport, JetVectorField, _point_map, bracket
-from mcforge.kernel import SCALAR, ExprParser, ScalarExpr, SymbolTable
+from mcforge.kernel import SCALAR, ExprParser, SymbolTable, substitute
 from mcforge.multiindex import MultiIndex
 from mcforge.structure import StructureEquationSet
 
 
-def parse_expr(text: str, table: SymbolTable, line_offset: int = 1) -> ScalarExpr:
+def parse_expr(text: str, table: SymbolTable, line_offset: int = 1):
     """One scalar expression in the shared input grammar, every name a declared symbol."""
-    value = ExprParser(table).parse(text, line_offset)
-    return value[SCALAR] if value else ScalarExpr(0, table)
+    return ExprParser(table).parse(text, line_offset).get(SCALAR, 0)
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ def jacobi_by_triples(basis: list[JetVectorField]) -> JacobiReport:
 
 
 def structure_constants(eqs: StructureEquationSet,
-                        point: Mapping[str, object]) -> list[tuple[int, int, int, ScalarExpr]]:
+                        point: Mapping[str, object]) -> list[tuple]:
     """Coefficients C^i_{jk} of d mu^i = sum_{j<k} C^i_{jk} mu^j ^ mu^k at the point.
 
     Indices refer to positions in eqs.basis; pairs involving generators
@@ -145,8 +144,8 @@ def structure_constants(eqs: StructureEquationSet,
         for (h, k), c in sorted(eqs.equations[g].terms.items(),
                                 key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key())):
             if h in pos and k in pos:
-                value = c.substitute(subs)
-                if not value.is_zero:
+                value = substitute(c, subs)
+                if value:
                     out.append((i, pos[h], pos[k], value))
     return out
 

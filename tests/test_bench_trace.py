@@ -48,6 +48,8 @@ def test_traced_rational_solve_job(bench_run):
         # used to eliminate every pivot again: 38 calls), and the count does
         # not depend on how the seed orders the equation lines
         assert metrics["kernel.assumptions"][0] == 24
+        # a constant is never a ScalarExpr, so none is zero
+        assert metrics["kernel.scalar_zero_frac"][0] == 0
 
 
 def _traced_and_untraced(bench_run, workload, seed):
@@ -65,10 +67,11 @@ def _traced_and_untraced(bench_run, workload, seed):
 def test_traced_diffeo_d2_job(bench_run):
     for seed in (1, 2):
         metrics = _traced_and_untraced(bench_run, "diffeo-d2", seed)
-        # d^2 sums plain int weights and wraps only the coefficients of the
-        # returned forms: 1 102 ScalarExprs in this job (11 573 when every
-        # product was one)
-        assert metrics["kernel.scalar_new"][0] < 2000
+        # every coefficient of the diffeomorphism group is a plain int: no
+        # ScalarExpr at all in this job (1 102 when the coefficients of the
+        # returned forms were wrapped, 11 573 when every product was)
+        assert metrics["kernel.scalar_new"][0] == 0
+        assert metrics["kernel.scalar_zero_frac"][0] == 0
         assert metrics["structure.basis_size"][0] > 0
 
 
@@ -76,3 +79,4 @@ def test_traced_duality_job(bench_run):
     for seed in (1, 2):
         metrics = _traced_and_untraced(bench_run, "duality", seed)
         assert metrics["jetalg.pairings"][0] > 0
+        assert metrics["kernel.scalar_zero_frac"][0] == 0

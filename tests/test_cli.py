@@ -662,3 +662,11 @@ def test_unprintable_coefficient_exit_2(capsys, unprintable_input, fmt):
     assert (code, out) == (2, "")
     assert err.startswith("error: coefficient too large to print") and "bits" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["2^3000", "(1/2)^3000", "3^2584"])
+def test_point_value_inside_the_power_bound_is_accepted(capsys, value):
+    code, out, err = run(capsys, "check-duality", "@intransitive_translation.dsys",
+                         "--order", "0", "--point", f"x={value}")
+    assert (code, err) == (0, "warning: solution basis has dimension 1; no pair of jets to check\n")
+    assert out == "0 pairings checked, 0 violations\n"

@@ -11,7 +11,7 @@ from mcforge.coordforms import (
     verify_structure_equations,
 )
 from mcforge.exterior import _wedge_into
-from mcforge.kernel import ParseError, ScalarExpr
+from mcforge.kernel import ParseError, diff
 
 from conftest import bundled
 
@@ -22,8 +22,7 @@ def session_xy():
 
 
 def one(session, **coeffs):
-    return CoordOneForm({k: v if isinstance(v, ScalarExpr) else
-                         ScalarExpr(v, session.table) for k, v in coeffs.items()})
+    return CoordOneForm(coeffs)
 
 
 def test_d_of_coordinate_differential_is_zero():
@@ -34,13 +33,13 @@ def test_d_of_coordinate_differential_is_zero():
 def test_d_of_x_dy():
     s = session_xy()
     got = exterior_derivative(one(s, y=s.table.expr("x")), s)
-    assert got.terms == {("x", "y"): ScalarExpr(1, s.table)}
+    assert got.terms == {("x", "y"): 1}
 
 
 def test_d_of_y_dx_minus_sign():
     s = session_xy()
     got = exterior_derivative(one(s, x=s.table.expr("y")), s)
-    assert got.terms == {("x", "y"): ScalarExpr(-1, s.table)}
+    assert got.terms == {("x", "y"): -1}
 
 
 def test_d_of_invariant_form():
@@ -82,9 +81,9 @@ def test_d_squared_zero_on_polynomial_oneforms(a, b, c, d):
     # d^2 = 0 is equivalent to symmetry of second derivatives
     omega = one(s, x=f, y=g)
     d_omega = exterior_derivative(omega, s)
-    coeff = d_omega.terms.get(("x", "y"), ScalarExpr(0, s.table))
+    coeff = d_omega.terms.get(("x", "y"), 0)
     sx, sy = s.table.lookup("x"), s.table.lookup("y")
-    assert coeff == g.diff(sx) - f.diff(sy)
+    assert coeff == diff(g, sx) - diff(f, sy)
 
 
 def test_parse_coframe_bundled():

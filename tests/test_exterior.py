@@ -17,7 +17,7 @@ from mcforge.exterior import (
     wedge,
     wedge_two_one,
 )
-from mcforge.kernel import ScalarExpr, SymbolKind, SymbolTable
+from mcforge.kernel import SymbolKind, SymbolTable
 from mcforge.multiindex import MultiIndex
 
 from helpers import reduce_form, wedge_one_two
@@ -28,7 +28,7 @@ def g(comp, *entries):
 
 
 def one(*pairs):
-    return OneForm({gen: ScalarExpr(c) for gen, c in pairs})
+    return OneForm({gen: c for gen, c in pairs})
 
 
 def test_generator_ordering_by_order_then_component():
@@ -68,13 +68,13 @@ def test_wedge_bilinear():
     b = one((g(1), 2))
     c = one((g(0, 0), 3))
     assert wedge(a + b, c) == wedge(a, c) + wedge(b, c)
-    assert wedge(a.scale(ScalarExpr(5)), b) == wedge(a, b).scale(ScalarExpr(5))
+    assert wedge(a.scale(5), b) == wedge(a, b).scale(5)
 
 
 def test_wedge_normalizes_pair_order():
     # mu_X ^ mu stored as -(mu ^ mu_X)
     w = wedge(one((g(0, 0), 1)), one((g(0), 1)))
-    assert w.terms == {(g(0), g(0, 0)): ScalarExpr(-1)}
+    assert w.terms == {(g(0), g(0, 0)): -1}
 
 
 def test_triple_wedge_associative_signs():
@@ -120,7 +120,7 @@ def test_reduce_form_dispatch():
         one((g(0), 1)), one((g(0, 0), 1)))
     assert isinstance(reduce_form(ThreeForm(), rel), ThreeForm)
     with pytest.raises(TypeError):
-        reduce_form(ScalarExpr(1), rel)
+        reduce_form(1, rel)
 
 
 def test_reduce_rejects_non_triangular():
@@ -146,7 +146,7 @@ def test_reduce_two_with_variable_coefficients():
     table.declare("X", SymbolKind.TARGET)
     X = table.expr("X")
     rel = {g(2, 2): OneForm({g(1, 1): X})}
-    w = TwoForm({(g(1, 1), g(2, 2)): ScalarExpr(1, table)})
+    w = TwoForm({(g(1, 1), g(2, 2)): 1})
     # mu^y_Y ^ (X mu^y_Y) = 0
     assert reduce_two(w, rel).is_zero
 

@@ -22,7 +22,7 @@ from mcforge.exterior import (
     d_apply_two,
     reduce_three,
 )
-from mcforge.kernel import ScalarExpr, SymbolKind, SymbolTable
+from mcforge.kernel import SymbolKind, SymbolTable, as_expr
 from mcforge.multiindex import MultiIndex
 
 TABLE = SymbolTable()
@@ -37,7 +37,7 @@ TRIPLES = list(itertools.combinations(POOL, 3))
 
 def coeffs():
     # a nonzero integer, times X half of the time
-    return st.builds(lambda k, var: X * k if var else ScalarExpr(k, TABLE),
+    return st.builds(lambda k, var: X * k if var else k,
                      st.sampled_from([-2, -1, 1, 3]), st.booleans())
 
 
@@ -84,13 +84,13 @@ def assert_same_tensor(got: dict, want: dict):
 
 
 def form_tensor(form) -> dict:
-    return tensor((key, c.expr) for key, c in form.terms.items())
+    return tensor((key, as_expr(c)) for key, c in form.terms.items())
 
 
 def substituted(monomials, rel):
     """Replace each dependent generator by its right-hand side and expand."""
     for gens, c in monomials:
-        choices = [[(h, ch.expr) for h, ch in rel[g].terms.items()] if g in rel
+        choices = [[(h, as_expr(ch)) for h, ch in rel[g].terms.items()] if g in rel
                    else [(g, sp.Integer(1))] for g in gens]
         for pick in itertools.product(*choices):
             yield tuple(h for h, _ in pick), sp.Mul(c, *(ch for _, ch in pick))
@@ -99,7 +99,7 @@ def substituted(monomials, rel):
 @settings(max_examples=40, deadline=None)
 @given(three_forms(), relations())
 def test_reduce_three_matches_substitution_reference(omega, rel):
-    want = tensor(substituted(((k, c.expr) for k, c in omega.terms.items()), rel))
+    want = tensor(substituted(((k, as_expr(c)) for k, c in omega.terms.items()), rel))
     assert_same_tensor(form_tensor(reduce_three(omega, rel)), want)
 
 
@@ -109,14 +109,16 @@ def test_d_apply_two_matches_leibniz_reference(omega, rules, rel):
     # d(c g ^ h) = c dg ^ h - c g ^ dh, then substitute the relations
     leibniz = []
     for (g, h), c in omega.terms.items():
-        leibniz += [((k, l, h), c.expr * ck.expr) for (k, l), ck in rules[g].terms.items()]
-        leibniz += [((g, k, l), -c.expr * ck.expr) for (k, l), ck in rules[h].terms.items()]
+        leibniz += [((k, l, h), as_expr(c) * as_expr(ck))
+                    for (k, l), ck in rules[g].terms.items()]
+        leibniz += [((g, k, l), -as_expr(c) * as_expr(ck))
+                    for (k, l), ck in rules[h].terms.items()]
     want = tensor(substituted(leibniz, rel))
     assert_same_tensor(form_tensor(d_apply_two(omega, rules, rel)), want)
 
 
 def test_d_apply_two_missing_rule():
     g, h = POOL[0], POOL[1]
-    omega = TwoForm({(g, h): ScalarExpr(1)})
+    omega = TwoForm({(g, h): 1})
     with pytest.raises(MissingRuleError):
         d_apply_two(omega, {g: TwoForm()}, {})

@@ -11,6 +11,9 @@ import pytest
 from mcforge.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+# conformal maps of the metric 3 dx^2 + 5 dy^2: Cauchy-Riemann after rescaling
+# y, and the one input whose constants are not all integers
+CONFORMAL = str(Path(__file__).parent / "inputs" / "conformal_3_5.dsys")
 
 CASES = [
     ("structure_essential_o3.txt",
@@ -50,6 +53,12 @@ CASES = [
      ["check-duality", "@cartan_essential.dsys", "--order", "1"]),
     ("check_duality_essential_o1.json",
      ["check-duality", "@cartan_essential.dsys", "--order", "1", "--format", "json"]),
+    ("structure_conformal_o2.txt", ["structure", CONFORMAL, "--order", "2"]),
+    ("structure_conformal_o2.tex",
+     ["structure", CONFORMAL, "--order", "2", "--format", "latex"]),
+    ("structure_conformal_o2.json",
+     ["structure", CONFORMAL, "--order", "2", "--format", "json"]),
+    ("lift_conformal_o2.tex", ["lift", CONFORMAL, "--order", "2", "--format", "latex"]),
 ]
 
 
@@ -59,6 +68,13 @@ def test_golden_output(golden, argv, capsys, janet_file):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_conformal_goldens_hold_proper_fractions():
+    for name in ("structure_conformal_o2.tex", "lift_conformal_o2.tex"):
+        text = (GOLDEN / name).read_text()
+        assert "\\frac{3}{5}" in text and "\\frac{5}{3}" in text
+    assert "- \\frac{3}{5}" in (GOLDEN / "lift_conformal_o2.tex").read_text()
 
 
 def test_bracket_latex_prints_its_text_form(capsys):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,13 +9,18 @@ from mcforge import kernel
 from mcforge.kernel import (
     DegeneratePointError,
     DuplicateSymbolError,
+    McforgeError,
     ParseError,
     ScalarExpr,
     SymbolKind,
     SymbolTable,
     UnknownSymbolError,
     ZeroDivisionFunctionError,
+    diff,
     echelon,
+    exact,
+    free_names,
+    substitute,
 )
 
 from helpers import parse_expr
@@ -80,7 +86,7 @@ def test_ledger_normalizes_each_raw_value_once(table, monkeypatch):
     monkeypatch.setattr(kernel, "_nonzero_normal_form",
                         lambda expr: calls.append(expr) or normal_form(expr))
     x, y = table.expr("x"), table.expr("y")
-    for value in (2 * x, x * y, 2 * x, -x, x * y, ScalarExpr(3, table)):
+    for value in (2 * x, x * y, 2 * x, -x, x * y, -2 * x):
         table.record_nonzero(value)
     assert [str(a) for a in table.assumed_nonzero] == ["x", "x*y"]
     assert len(calls) == 4  # 2*x and x*y come back once each and are skipped
@@ -88,7 +94,7 @@ def test_ledger_normalizes_each_raw_value_once(table, monkeypatch):
 
 def test_echelon_solves_and_back_substitutes(table):
     x = table.expr("x")
-    one = ScalarExpr(1, table)
+    one = 1
     # a + b + c = 0, b - x*c = 0, 2a + 2b + 2c = 0; pivot on the largest column
     rows = [{"a": one, "b": one, "c": one}, {"b": one, "c": -x},
             {"a": 2 * one, "b": 2 * one, "c": 2 * one}]
@@ -111,8 +117,9 @@ def test_echelon_records_pivot_without_division(table):
 def test_diff(table):
     x, y = table.expr("x"), table.expr("y")
     sx = table.lookup("x")
-    assert (y / x).diff(sx) == -y / (x * x)
-    assert (x ** 3).diff(sx) == 3 * x * x
+    assert diff(y / x, sx) == -y / (x * x)
+    assert diff(x ** 3, sx) == 3 * x * x
+    assert diff(Fraction(1, 2), sx) == 0 and type(diff(3, sx)) is int
 
 
 def test_substitute_exact(table):
@@ -124,7 +131,7 @@ def test_substitute_exact(table):
 
 def test_substitute_degenerate_point(table):
     x, y = table.expr("x"), table.expr("y")
-    e = ScalarExpr(1, table) / (x - y)
+    e = 1 / (x - y)
     with pytest.raises(DegeneratePointError):
         e.substitute({table.lookup("x"): 1, table.lookup("y"): 1})
 
@@ -138,8 +145,8 @@ def test_simultaneous_substitution(table):
 
 def test_free_names(table):
     x, y = table.expr("x"), table.expr("y")
-    assert (x * y + 1).free_names == {"x", "y"}
-    assert ScalarExpr(5, table).free_names == set()
+    assert free_names(x * y + 1) == {"x", "y"}
+    assert free_names(5) == set()
 
 
 def test_parse_precedence(table):
@@ -169,10 +176,10 @@ def test_power_bounds(table):
     x = table.expr("x")
     assert parse_expr("(x^8)^8", table) == x ** 64
     assert parse_expr("2^2048", table) == 2 ** 2048
+    assert parse_expr("2^2049", table) == 2 ** 2049
     assert parse_expr("(x/(x + 1))^-64", table) == ((x + 1) / x) ** 64
     # 2^3^3^3 = 2^7625597484987 is refused before anything that size is built
-    for text in ("x^65", "(x^8)^9", "(x + 1)^400", "x^-65", "2^2049", "(2^64)^65",
-                 "2^3^3^3"):
+    for text in ("x^65", "(x^8)^9", "(x + 1)^400", "x^-65", "(2^64)^65", "2^3^3^3"):
         with pytest.raises(ParseError, match="power too large"):
             parse_expr(text, table)
 
@@ -203,10 +210,11 @@ def test_parse_errors(table):
 @given(st.lists(st.fractions(min_value=-5, max_value=5), min_size=2, max_size=6))
 def test_sum_matches_fraction_arithmetic(values):
     table = SymbolTable()
-    total = ScalarExpr(0, table)
+    total = exact(0, table)
     for v in values:
-        total = total + ScalarExpr(v, table)
+        total = total + exact(v, table)
     assert total == sum(values, Fraction(0))
+    assert type(total) in (int, Fraction)
 
 
 @given(st.integers(min_value=-4, max_value=4), st.integers(min_value=-4, max_value=4),
@@ -217,7 +225,7 @@ def test_polynomial_eval_commutes_with_substitution(a, b, c):
     x = table.expr("x")
     e = a * x * x + b * x + c
     for point in (-2, 0, 1, 3):
-        assert e.substitute({table.lookup("x"): point}) == a * point * point + b * point + c
+        assert substitute(e, {table.lookup("x"): point}) == a * point * point + b * point + c
 
 
 @given(st.integers(min_value=-3, max_value=3), st.integers(min_value=-3, max_value=3))
@@ -244,24 +252,21 @@ def test_expr_is_sympy_canonical(table):
     assert e.expr == sp.Symbol("x") + 1
 
 
-def test_constant_sum_and_product_take_the_fraction_path(table, monkeypatch):
-    half, third = ScalarExpr(Fraction(1, 2), table), ScalarExpr(Fraction(1, 3))
+def test_constant_sum_and_product_build_no_scalar(table, monkeypatch):
+    half, third = exact(Fraction(1, 2), table), exact(Fraction(1, 3))
     x = table.expr("x")
     # the same constants built through the field: (x + 1/2) + (1/3 - x)
     by_field = (x + half) + (third - x)
-    built, operands = [], []
-    init, coerce = ScalarExpr.__init__, kernel._coerce
+    built = []
+    init = ScalarExpr.__init__
     monkeypatch.setattr(ScalarExpr, "__init__",
                         lambda self, *args: built.append(args) or init(self, *args))
-    monkeypatch.setattr(kernel, "_coerce",
-                        lambda *args: operands.append(args) or coerce(*args))
     total, product = half + third, third * half
-    assert (len(built), operands) == (2, [])  # one ScalarExpr each, no coercion
-    # the table is the first operand's, else the second's
-    assert total.table is table and product.table is table
-    assert (third + third).table is None
+    assert built == []  # a constant is a plain Fraction and holds no table
+    assert type(total) is Fraction and type(product) is Fraction
+    assert type(by_field) is Fraction  # a field result that is constant comes back plain
     assert total == by_field and hash(total) == hash(by_field)
-    assert total.value == Fraction(5, 6) and product.value == Fraction(1, 6)
+    assert total == Fraction(5, 6) and product == Fraction(1, 6)
 
 
 def test_mixed_constant_operands_keep_their_paths(table, monkeypatch):
@@ -270,8 +275,42 @@ def test_mixed_constant_operands_keep_their_paths(table, monkeypatch):
     original = kernel._scaled
     monkeypatch.setattr(kernel, "_scaled",
                         lambda *args, **kwargs: scaled.append(args) or original(*args, **kwargs))
-    assert str(ScalarExpr(2) * x) == "2*x" and str(x * ScalarExpr(3)) == "3*x"
+    assert str(2 * x) == "2*x" and str(x * 3) == "3*x"
     assert len(scaled) == 2
-    assert (ScalarExpr(0) * x).is_zero and len(scaled) == 2  # zero takes the field path
-    assert str(ScalarExpr(Fraction(1, 2)) + x) == "x + 1/2"
-    assert ScalarExpr(1) + 2 == ScalarExpr(3)  # a plain number is coerced as before
+    assert 0 * x == 0 and type(0 * x) is int and len(scaled) == 2  # zero is not scaled
+    assert str(Fraction(1, 2) + x) == "x + 1/2"
+    assert (x + 1) - x + 2 == 3 and type((x + 1) - x + 2) is int
+
+
+def test_a_constant_is_never_a_scalar(table):
+    x = table.expr("x")
+    for constant in (2, Fraction(1, 2), sp.Integer(2), table.field.one * 2):
+        with pytest.raises(McforgeError):
+            ScalarExpr(constant, table)
+    with pytest.raises(McforgeError):
+        ScalarExpr(2)
+    with pytest.raises(McforgeError):
+        ScalarExpr(table.generator(table.lookup("x")))  # no table
+    # operations whose result is constant return it plain, never a float
+    for value, want in ((x / x, 1), (x - x, 0), (x ** 0, 1), ((2 * x) / (4 * x), Fraction(1, 2)),
+                        (x * (1 / x), 1), (diff(x, table.lookup("x")), 1),
+                        (x.substitute({table.lookup("x"): 3}), 3)):
+        assert type(value) is type(want) and value == want
+    assert x != 1 and x != Fraction(1, 2) and 1 != x
+
+
+def test_power_bound_is_the_size_of_the_result(table):
+    # a constant power is refused exactly when its numerator or denominator
+    # would have more than MAX_POWER_BITS bits, and a power far past the
+    # bound is refused on a lower bound of its size, before it is built
+    assert kernel.MAX_POWER_BITS == 4096
+    for text, want in (("2^4095", 2 ** 4095), ("3^2584", 3 ** 2584),
+                       ("(1/2)^3000", Fraction(1, 2 ** 3000)), ("2^-4095", Fraction(1, 2 ** 4095)),
+                       ("1^(2^4000)", 1), ("(-1)^(2^4000 + 1)", -1), ("0^(2^4000)", 0)):
+        assert parse_expr(text, table) == want
+    for text in ("2^4096", "3^2585", "(1/2)^4096", "(2/3)^-2585", "2^(2^4000)",
+                 "(2^4000)^(2^4000)"):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="power too large: more than 4096 bits"):
+            parse_expr(text, table)
+        assert time.perf_counter() - start < 1

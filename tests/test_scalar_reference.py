@@ -1,6 +1,6 @@
-"""ScalarExpr against a plain-sympy reference that cancels after every step.
+"""Exact values against a plain-sympy reference that cancels after every step.
 
-The reference is what ScalarExpr computed before it kept its own exact
+The reference is what the kernel computed before it kept its own exact
 representations: every value is ``cancel(together(expr))`` of the sympy
 expression, every substitution is sympy's simultaneous ``subs`` followed by
 the same cancel, and a pole shows up as ``zoo`` or ``nan``.  The symbols
@@ -10,13 +10,28 @@ denominator depends on that order.
 """
 
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 from sympy import QQ
 
-from mcforge.kernel import DegeneratePointError, ScalarExpr, SymbolKind, SymbolTable
+from mcforge.kernel import (
+    DegeneratePointError,
+    ScalarExpr,
+    SymbolKind,
+    SymbolTable,
+    as_expr,
+    as_fraction,
+    diff,
+    exact,
+    free_names,
+    is_constant,
+    power,
+    quotient,
+    substitute,
+)
 from mcforge.render import coeff_latex, coeff_text
 
 NAMES = ["X", "x", "eta", "T"]
@@ -38,24 +53,25 @@ def rational(q: Fraction):
 
 def leaf(draw_name, q):
     if draw_name is None:
-        return ScalarExpr(q, TABLE), rational(q)
+        return exact(q, TABLE), rational(q)
     return TABLE.expr(draw_name), sp.Symbol(draw_name)
 
 
 LEAVES = st.builds(leaf, st.one_of(st.none(), st.sampled_from(NAMES)), RATIONALS)
 
 
-def check(value: ScalarExpr, ref) -> None:
-    assert value.expr == ref
+def check(value, ref) -> None:
+    assert as_expr(value) == ref
     assert coeff_text(value) == sp.sstr(ref, order="lex")
     assert coeff_latex(value) == sp.latex(ref, order="lex")
-    assert value.is_constant == ref.is_Rational
-    assert value.is_zero == (ref == 0)
-    assert value.free_names == {s.name for s in ref.free_symbols}
+    assert is_constant(value) == ref.is_Rational
+    assert (not value) == (ref == 0)
+    assert free_names(value) == {s.name for s in ref.free_symbols}
     # the same value built from its sympy form is equal and hashes alike
-    rebuilt = ScalarExpr(ref, TABLE)
+    rebuilt = exact(ref, TABLE)
     assert rebuilt == value and hash(rebuilt) == hash(value)
-    assert value == ref
+    # a constant is plain, anything else a ScalarExpr, and nothing is a float
+    assert type(value) in ((int, Fraction) if ref.is_Rational else (ScalarExpr,))
 
 
 def apply(op, a, b, n, name):
@@ -68,10 +84,10 @@ def apply(op, a, b, n, name):
     if op == "*":
         return u * v, reference(ru * rv)
     if op == "/":
-        return (None if v.is_zero else (u / v, reference(ru / rv)))
+        return (None if not v else (quotient(u, v), reference(ru / rv)))
     if op == "**":
-        return (None if n < 0 and u.is_zero else (u ** n, reference(ru ** n)))
-    return u.diff(TABLE.lookup(name)), reference(sp.diff(ru, sp.Symbol(name)))
+        return (None if n < 0 and not u else (power(u, n), reference(ru ** n)))
+    return diff(u, TABLE.lookup(name)), reference(sp.diff(ru, sp.Symbol(name)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -115,9 +131,9 @@ def test_substitute_matches_reference(data):
                                for n, t in zip(names, targets)}, simultaneous=True))
     if want.has(sp.zoo, sp.nan, sp.oo):
         with pytest.raises(DegeneratePointError):
-            value.substitute(mapping)
+            substitute(value, mapping)
     else:
-        check(value.substitute(mapping), want)
+        check(substitute(value, mapping), want)
 
 
 def test_symbol_declared_after_the_field_was_built():
@@ -128,7 +144,7 @@ def test_symbol_declared_after_the_field_was_built():
     a = table.expr("a")
     late = table.expr("x") + 1
     assert early == late and hash(early) == hash(late)
-    assert str((early * a).diff(table.lookup("x"))) == "a"
+    assert str(diff(early * a, table.lookup("x"))) == "a"
     assert str(early / a - late / a) == "0"
 
 
@@ -156,13 +172,13 @@ def polynomial(terms):
 
 def check_scaled(f, q):
     """c * f, f * c, f / c and c / f equal what the field's cancelling arithmetic builds."""
-    value, c, k = ScalarExpr(f, TABLE), ScalarExpr(q, TABLE), QQ(q.numerator, q.denominator)
+    value, c, k = exact(f, TABLE), exact(q, TABLE), QQ(q.numerator, q.denominator)
     ledger = list(TABLE.assumed_nonzero)
     cases = [(c * value, k * f), (q * value, k * f), (value * c, f * k),
              (value / c, f / k), (c / value, k / f), (q / value, k / f)]
     for got, want in cases:
-        assert not got.is_constant
-        assert (got.value.numer, got.value.denom) == (want.numer, want.denom)
+        # equality of field elements compares numerators and denominators
+        assert type(got) is ScalarExpr and got == exact(want, TABLE)
         assert got.table is TABLE
     assert TABLE.assumed_nonzero == ledger
 
@@ -189,63 +205,67 @@ def test_scaling_by_constant_edge_cases():
 
 
 # ---------------------------------------------------------------------------
-# Constants: an int exactly when integral, else a Fraction, never a float
+# Constants: an int or a Fraction, never a float or a ScalarExpr; the kernel's
+# quotients, powers and builder give an int exactly when integral
 # ---------------------------------------------------------------------------
 
 CONSTANT_VALUES = st.one_of(st.integers(-9, 9),
                             st.fractions(min_value=-9, max_value=9, max_denominator=9))
 
 
-def check_constant(got: ScalarExpr, want: Fraction) -> None:
-    value = got.value
-    assert type(value) is (int if want.denominator == 1 else Fraction)
-    assert value == want
-    # a constant's text is native: sympy's bytes, and no sympy expression built
+def check_constant(got, want: Fraction, normalized: bool = True) -> None:
+    assert type(got) in (int, Fraction)
+    if normalized:
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+    assert got == want
+    # a constant's text is native: sympy's bytes
     assert coeff_text(got) == sp.sstr(rational(want), order="lex")
-    assert got._expr is None
-    assert type(got.as_fraction()) is Fraction and got.as_fraction() == want
-    assert got.expr == rational(want)
+    assert type(as_fraction(got)) is Fraction and as_fraction(got) == want
+    assert as_expr(got) == rational(want)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(CONSTANT_VALUES, CONSTANT_VALUES, st.integers(-3, 3))
 def test_constant_arithmetic_is_int_exactly_when_integral(p, q, n):
-    a, b = ScalarExpr(p, TABLE), ScalarExpr(q, TABLE)
+    a, b = exact(p, TABLE), exact(q, TABLE)
     check_constant(a, Fraction(p))
     fp, fq = Fraction(p), Fraction(q)
-    cases = [(a + b, fp + fq), (a - b, fp - fq), (a * b, fp * fq), (-a, -fp),
-             (p + b, fp + fq), (a - q, fp - fq), (p * b, fp * fq), (q - a, fq - fp)]
+    # Python's own + - * keep a Fraction operand's type, so only the value is checked
+    for got, want in [(a + b, fp + fq), (a - b, fp - fq), (a * b, fp * fq), (-a, -fp),
+                      (p + b, fp + fq), (a - q, fp - fq), (p * b, fp * fq), (q - a, fq - fp)]:
+        check_constant(got, want, normalized=False)
+    cases = []
     if q:
-        cases += [(a / b, fp / fq), (a / q, fp / fq), (p / b, fp / fq)]
+        cases += [(quotient(a, b), fp / fq), (quotient(a, q), fp / fq), (quotient(p, b), fp / fq)]
     if p or n >= 0:
-        cases.append((a ** n, fp ** n))
+        cases.append((power(a, n), fp ** n))
     for got, want in cases:
         check_constant(got, want)
-    assert a.diff(TABLE.lookup("x")).value == 0
-    assert type(a.diff(TABLE.lookup("x")).value) is int
+    assert diff(a, TABLE.lookup("x")) == 0
+    assert type(diff(a, TABLE.lookup("x"))) is int
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.one_of(st.integers(-10 ** 30, 10 ** 30),
                  st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 12)))
 def test_constant_text_is_sympys_without_an_expression(q):
-    c = ScalarExpr(q, TABLE)
-    text = coeff_text(c)
-    assert c._expr is None
-    assert text == sp.sstr(rational(Fraction(q)), order="lex") == sp.sstr(c.expr, order="lex")
-    assert coeff_latex(c) == sp.latex(c.expr, order="lex")
+    c = exact(q, TABLE)
+    with patch.object(sp, "Rational", None), patch.object(sp, "Integer", None):
+        text = coeff_text(c)
+    assert text == sp.sstr(rational(Fraction(q)), order="lex")
+    assert coeff_latex(c) == sp.latex(as_expr(c), order="lex")
 
 
 def test_integral_constants_are_one_value():
-    values = [ScalarExpr(2), ScalarExpr(Fraction(4, 2)), ScalarExpr(sp.Integer(2)),
-              ScalarExpr(Fraction(4, 2), TABLE), ScalarExpr(QQ(2) / QQ(1) * TABLE.field.one)]
+    values = [exact(2), exact(Fraction(4, 2)), exact(sp.Integer(2)),
+              exact(Fraction(4, 2), TABLE), exact(QQ(2) / QQ(1) * TABLE.field.one)]
     for value in values:
-        assert type(value.value) is int
+        assert type(value) is int
         assert value == 2 and value == values[0] and value == Fraction(2)
         assert hash(value) == hash(values[0]) == hash(2)
-    half = ScalarExpr(Fraction(1, 2))
-    assert type(half.value) is Fraction and half != 1 and half * 2 == 1
-    assert type((half * 2).value) is int and type((half + half).value) is int
+    half = exact(Fraction(1, 2))
+    assert type(half) is Fraction and half != 1 and half * 2 == 1
+    assert type(quotient(half * 2, 1)) is int and type(quotient(half + half, 1)) is int
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -255,7 +275,7 @@ def test_mixed_constant_and_field_operations_match_field(numer, denom, q):
     assume(denom)
     f = polynomial(numer) / denom
     assume(not (f.numer.is_ground and f.denom.is_ground))
-    value, c, k = ScalarExpr(f, TABLE), ScalarExpr(q, TABLE), QQ(q)
+    value, c, k = exact(f, TABLE), exact(q, TABLE), QQ(q)
     cases = [(c + value, k + f), (value + q, f + k), (c - value, k - f), (value - q, f - k),
              (c * value, k * f), (value * q, f * k), (c / value, k / f)]
     if q:
@@ -265,4 +285,22 @@ def test_mixed_constant_and_field_operations_match_field(numer, denom, q):
             r = want.numer.LC / want.denom.LC
             check_constant(got, Fraction(int(r.numerator), int(r.denominator)))
         else:
-            assert (got.value.numer, got.value.denom) == (want.numer, want.denom)
+            assert type(got) is ScalarExpr and got == exact(want, TABLE)
+
+
+# integers of up to a few hundred digits, signed
+BIG = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 400, 10 ** 400))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(BIG, BIG.filter(bool))
+def test_constant_latex_is_sympys_without_sympy(p, q):
+    # an int, and an integral or proper Fraction, are written without any
+    # sympy number: sp.Rational is unusable while they are printed
+    values = [quotient(p, q), Fraction(p, q), p]
+    with patch.object(sp, "Rational", None), patch.object(sp, "Integer", None):
+        got = [coeff_latex(v) for v in values]
+    assert got == [sp.latex(rational(Fraction(v)), order="lex") for v in values]
+    assert coeff_latex(Fraction(-1, 2)) == "- \\frac{1}{2}"
+    assert coeff_latex(Fraction(7, 3)) == "\\frac{7}{3}"
+    assert coeff_latex(-3) == coeff_latex(Fraction(-6, 2)) == "-3"
