@@ -28,8 +28,6 @@ from .kernel import (
     McforgeError,
     ParseError,
     ScalarExpr,
-    Symbol,
-    SymbolKind,
     SymbolTable,
 )
 from .multiindex import MultiIndex
@@ -48,7 +46,7 @@ __all__ = [
     "McGenerator", "OneForm", "TwoForm", "ThreeForm", "JetVectorField",
     "bracket", "check_duality", "jacobi_check",
     "solution_basis", "DegeneratePointError", "McforgeError", "ParseError",
-    "ScalarExpr", "Symbol", "SymbolKind", "SymbolTable", "MultiIndex",
+    "ScalarExpr", "SymbolTable", "MultiIndex",
     "StructureEquationSet", "check_d_squared",
     "diffeo_structure_equation", "pseudo_group_structure", "__version__",
 ]

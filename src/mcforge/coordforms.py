@@ -15,7 +15,6 @@ from .kernel import (
     ExprParser,
     McforgeError,
     ParseError,
-    SymbolKind,
     SymbolTable,
     diff,
     echelon,
@@ -52,7 +51,7 @@ def exterior_derivative(omega: CoordOneForm, session: CoframeSession) -> CoordTw
     """d(f ds) = sum_t (df/dt) dt ^ ds over the declared symbols."""
     out: dict = {}
     for s, f in omega.terms.items():
-        df = CoordOneForm({t: diff(f, session.table.lookup(t)) for t in session.symbols})
+        df = CoordOneForm({t: diff(f, t) for t in session.symbols})
         _wedge_into(out, None, df, s, key=session.symbol_order)
     return CoordTwoForm(out)
 
@@ -101,8 +100,8 @@ class _FormParser(ExprParser):
 
     def name(self, tok):
         text = tok.text
-        if self.table.get(text) is None and text.startswith("d") \
-                and self.table.get(text[1:]) is not None:
+        names = self.table.names
+        if text not in names and text.startswith("d") and text[1:] in names:
             return {text[1:]: 1}
         return super().name(tok)
 
@@ -151,7 +150,7 @@ def parse_coframe(text: str) -> CoframeSession:
             for name in split_names(line, lineno):
                 if name in symbols:
                     raise ParseError(f"symbol {name!r} declared twice", lineno, 1)
-                table.declare(name, SymbolKind.SOURCE)
+                table.declare(name)
                 symbols.append(name)
         elif line.startswith("form "):
             body = line[5:]

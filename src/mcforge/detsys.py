@@ -21,8 +21,6 @@ from .kernel import (
     InvalidOrderError,
     McforgeError,
     ParseError,
-    Symbol,
-    SymbolKind,
     SymbolTable,
     accumulate,
     as_expr,
@@ -111,22 +109,14 @@ class DeterminingSystem:
     def order(self) -> int:
         return max((eq.order for eq in self.equations), default=0)
 
-    def source_symbol(self, a: int) -> Symbol:
-        return self.table.lookup(self.coords[a])
-
-    def target_symbol(self, a: int) -> Symbol:
-        return self.table.lookup(self.targets[a])
-
     @classmethod
     def empty(cls, coords: list[str], targets: Optional[list[str]] = None,
               fields: Optional[list[str]] = None) -> "DeterminingSystem":
         targets = targets or [c.upper() for c in coords]
         fields = fields or [f"zeta{i + 1}" for i in range(len(coords))]
         table = SymbolTable()
-        for c in coords:
-            table.declare(c, SymbolKind.SOURCE)
-        for t in targets:
-            table.declare(t, SymbolKind.TARGET)
+        for name in [*coords, *targets]:
+            table.declare(name)
         return cls(table, list(coords), targets, fields, [])
 
 
@@ -150,8 +140,7 @@ class _EquationParser(ExprParser):
         js = self._jet_symbol(text, tok)
         if js is not None:
             return {js: 1}
-        entry = self.table.get(text)
-        if entry is not None and entry.kind is SymbolKind.TARGET:
+        if text in self.table.names:  # declared, and neither a coordinate nor a jet
             raise ParseError(
                 f"target coordinate {text!r} cannot appear in determining equations",
                 tok.line, tok.col)
@@ -165,12 +154,16 @@ class _EquationParser(ExprParser):
         base, _, suffix = text.rpartition("_")
         if base not in self.fields:
             return None
-        entries = _parse_coord_suffix(suffix, self.coords)
-        if entries is None:
+        readings = _suffix_readings(suffix, self.coords)
+        if not readings:
             raise ParseError(
                 f"cannot read {suffix!r} as derivative coordinates in {text!r}",
                 tok.line, tok.col)
-        return McGenerator(self.fields.index(base), MultiIndex(tuple(entries)))
+        if len(readings) > 1:
+            first, second = (", ".join(self.coords[a] for a in r) for r in readings)
+            raise ParseError(f"ambiguous derivative coordinates {suffix!r} in {text!r}: "
+                             f"({first}) or ({second})", tok.line, tok.col)
+        return McGenerator(self.fields.index(base), readings[0])
 
     def nonscalar(self, op):
         what = "product of jet symbols" if op.text == "*" else "division by a jet symbol"
@@ -184,20 +177,26 @@ class _EquationParser(ExprParser):
         return base
 
 
-def _parse_coord_suffix(suffix: str, coords: list[str]):
-    # greedy, longest coordinate name first
-    names = sorted(coords, key=len, reverse=True)
-    entries = []
-    rest = suffix
-    while rest:
-        for name in names:
-            if rest.startswith(name):
-                entries.append(coords.index(name))
-                rest = rest[len(name):]
-                break
-        else:
-            return None
-    return entries
+def _suffix_readings(suffix: str, coords: list[str]) -> list[MultiIndex]:
+    """The multi-indices that split ``suffix`` into coordinate names: none, one, or two
+    of the distinct ones when there are more.
+
+    One left-to-right pass keeps, at each position, at most two distinct
+    multi-indices of the splits of the text before it.  That is exact: two
+    distinct ones at a position that some split continues to the end give
+    two distinct ones at the end, so a third one there decides nothing.
+    """
+    reads: list[list[MultiIndex]] = [[] for _ in range(len(suffix) + 1)]
+    reads[0].append(MultiIndex())
+    for i, here in enumerate(reads):
+        for a, name in enumerate(coords):
+            if here and suffix.startswith(name, i):
+                there = reads[i + len(name)]
+                for index in here:
+                    index = index.append(a)
+                    if len(there) < 2 and index not in there:
+                        there.append(index)
+    return reads[-1]
 
 
 def parse_system(text: str) -> DeterminingSystem:
@@ -268,10 +267,9 @@ def parse_system(text: str) -> DeterminingSystem:
 def total_derivative(eq: LinearPdeEquation, a: int,
                      sys: DeterminingSystem) -> LinearPdeEquation:
     """D_{z^a} of a linear equation: differentiate coefficients, shift jets."""
-    z_a = sys.source_symbol(a)
     terms: dict = {}
     for js, c in eq.terms.items():
-        accumulate(terms, js, diff(c, z_a))
+        accumulate(terms, js, diff(c, sys.coords[a]))
         accumulate(terms, McGenerator(js.component, js.index.append(a)), c)
     return LinearPdeEquation(terms)
 
@@ -429,7 +427,7 @@ class LiftedRelations:
 def lift(solved: SolvedSourceRelations) -> LiftedRelations:
     """Replace z by Z in every coefficient; a jet's key already names its generator."""
     sys = solved.system
-    rename = {sys.source_symbol(a): sys.target_symbol(a) for a in range(sys.dim)}
+    rename = dict(zip(sys.coords, sys.targets))
 
     lifted = {p: OneForm({j: substitute(v, rename) for j, v in rhs.items()})
               for p, rhs in solved.solved.items()}

@@ -106,10 +106,6 @@ class _FormBase:
 class OneForm(_FormBase):
     """Finitely supported linear combination of generators."""
 
-    @classmethod
-    def generator(cls, g: McGenerator):
-        return cls({g: 1})
-
 
 class TwoForm(_FormBase):
     """Degree-2 element; keys are strictly increasing generator pairs."""

@@ -64,17 +64,9 @@ class JetVectorField:
                 coeffs[key] = value
         self.coefficients = coeffs
 
-    @classmethod
-    def monomial(cls, comp: int, idx: MultiIndex, truncation: int) -> "JetVectorField":
-        return cls({McGenerator(comp, idx): Fraction(1)}, truncation)
-
     @property
     def is_zero(self) -> bool:
         return not self.coefficients
-
-    def pair(self, g: McGenerator) -> Fraction | int:
-        """Dual pairing <mu^a_A, jet> = coefficient at (a, A)."""
-        return self.coefficients.get(g, 0)
 
     def truncate(self, order: int) -> "JetVectorField":
         if order > self.truncation:
@@ -132,7 +124,7 @@ def _point_map(sys: DeterminingSystem, point: Mapping[str, object], target: bool
     for a, coord in enumerate(sys.coords):
         if coord not in point:
             raise McforgeError(f"missing coordinate {coord!r} in evaluation point")
-        out[sys.table.lookup(names[a])] = as_fraction(point[coord])
+        out[names[a]] = as_fraction(point[coord])
     return out
 
 

@@ -1,14 +1,18 @@
-"""Exact scalar arithmetic: rational functions over QQ in declared symbols.
+"""Exact scalar arithmetic: rational functions over QQ in declared names.
 
 A coefficient anywhere in the engine is a value of one of three kinds.  A
 rational constant, which nearly every value is, is a plain ``int`` or
 ``fractions.Fraction``.  Any other value is a ``ScalarExpr``: an element of
 the one rational-function field over QQ (``sympy.polys.fields``) that its
-SymbolTable builds in the declared symbols.  A ScalarExpr is never constant,
+SymbolTable builds in the declared names.  A ScalarExpr is never constant,
 so the two never meet in one value.  The field keeps numerator and
 denominator coprime with normalized signs, so equal values are structurally
 identical: equality is decidable without simplifying, which is what makes row
 reduction and all downstream verification exact.
+
+A declared name is its string everywhere: ``diff``, ``substitute`` and the
+parsers take names, and the table maps each name to its generator of the
+field.  Sympy ``Symbol``s exist only inside the field.
 
 This module is the only one that knows how a value is held.  Other modules
 combine values with ``+ - *`` and call the functions below for the rest:
@@ -16,14 +20,14 @@ combine values with ``+ - *`` and call the functions below for the rest:
 an ``int``, never a float), ``diff``, ``substitute``, ``degree``,
 ``free_names``, ``as_fraction``, ``as_expr`` and the builder ``exact``.
 
-No arithmetic goes through sympy expressions or sympy's simplifier.  A sympy
-``Expr`` appears only at the edges: ``as_expr`` (rendering, and the normal
-form of genericity-ledger entries) and a value built from an ``Expr``.
+No arithmetic goes through sympy expressions or sympy's simplifier, and the
+genericity ledger is normalized in the field too.  A sympy ``Expr`` appears
+only at the edges: ``as_expr`` (rendering), the sign of a ledger entry, and a
+value built from an ``Expr``.
 """
 
 from __future__ import annotations
 
-import enum
 import numbers
 import re
 from dataclasses import dataclass
@@ -70,115 +74,82 @@ class ParseError(McforgeError):
         super().__init__(message)
 
 
-class SymbolKind(enum.Enum):
-    SOURCE = "source-coordinate"
-    TARGET = "target-coordinate"
-    JET = "jet-symbol"
-
-
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 
 
-@dataclass(frozen=True)
-class Symbol:
-    name: str
-    kind: SymbolKind
-    sym: sp.Symbol
-
-    def __repr__(self):
-        return f"Symbol({self.name!r}, {self.kind.value})"
-
-
 class SymbolTable:
-    """Append-only registry of declared symbols plus the genericity ledger.
+    """Append-only registry of declared names plus the genericity ledger.
+
+    A declared name is its string.  ``field`` is the rational-function field
+    over QQ in the declared names that holds every non-constant value built
+    with this table; it is built on first use, together with the map from
+    each name to its generator, and built again after a later declaration.
 
     The genericity ledger (``assumed_nonzero``) collects every non-constant
     function the session assumes nonzero.  It has two writers: ``ExprParser``
     records each divisor of an input, and ``eliminate_forward`` each pivot.
     Arithmetic, division included, records nothing.  All reports surface the
     ledger so standing assumptions like x != 0 are explicit.
-
-    ``field`` is the rational-function field over QQ in the declared symbols
-    that holds every non-constant value built with this table.  It is built on
-    first use and built again after a later declaration.
     """
 
     def __init__(self):
-        self._symbols: dict[str, Symbol] = {}
+        self.names: list[str] = []
         self._field: Optional[FracField] = None
+        self._generators: dict[str, FracElement] = {}
         self.assumed_nonzero: list[ScalarExpr] = []
-        self._recorded: set[ScalarExpr] = set()  # values already normalized
+        self._entries: set[sp.Expr] = set()  # the ledger's entries as sympy expressions
 
-    def declare(self, name: str, kind: SymbolKind) -> Symbol:
+    def declare(self, name: str) -> None:
         if not _NAME_RE.match(name):
             raise ParseError(f"invalid identifier {name!r}")
-        existing = self._symbols.get(name)
-        if existing is not None:
-            if existing.kind is kind:
-                return existing
-            raise DuplicateSymbolError(
-                f"symbol {name!r} already declared as {existing.kind.value}"
-            )
-        symbol = Symbol(name, kind, sp.Symbol(name))
-        self._symbols[name] = symbol
+        if name in self.names:
+            raise DuplicateSymbolError(f"symbol {name!r} already declared")
+        self.names.append(name)
         self._field = None
-        return symbol
 
-    def lookup(self, name: str) -> Symbol:
-        try:
-            return self._symbols[name]
-        except KeyError:
-            raise UnknownSymbolError(f"symbol {name!r} is not declared") from None
-
-    def get(self, name: str):
-        return self._symbols.get(name)
+    def _build(self) -> None:
+        # sympy's cancel() orders generators this way, and the field fixes the
+        # signs of numerator and denominator by its generator order, so
+        # ScalarExpr.expr comes out as cancel(together(...)) would print it
+        symbols = _sort_gens([sp.Symbol(name) for name in self.names])
+        self._field = FracField(symbols, QQ)
+        self._generators = {s.name: g for s, g in zip(symbols, self._field.gens)}
 
     @property
     def field(self) -> FracField:
         if self._field is None:
-            # sympy's cancel() orders generators this way, and the field fixes
-            # the signs of numerator and denominator by its generator order, so
-            # ScalarExpr.expr comes out as cancel(together(...)) would print it
-            gens = _sort_gens([s.sym for s in self._symbols.values()])
-            self._field = FracField(gens, QQ)
+            self._build()
         return self._field
 
-    def generator(self, symbol: Symbol) -> FracElement:
-        """``symbol`` as a generator of ``field``."""
-        field = self.field
-        return field.gens[field.symbols.index(symbol.sym)]
+    def generator(self, name: str) -> FracElement:
+        """The declared ``name`` as a generator of ``field``."""
+        if self._field is None:
+            self._build()
+        try:
+            return self._generators[name]
+        except KeyError:
+            raise UnknownSymbolError(f"symbol {name!r} is not declared") from None
 
-    def expr(self, symbol: Symbol | str) -> "ScalarExpr":
-        if isinstance(symbol, str):
-            symbol = self.lookup(symbol)
-        return ScalarExpr(self.generator(symbol), self)
+    def expr(self, name: str) -> "ScalarExpr":
+        return ScalarExpr(self.generator(name), self)
 
     def record_nonzero(self, value: "ScalarExpr") -> None:
-        """Add the non-constant ``value`` to the ledger, in normal form, unless it is there."""
-        if value in self._recorded:
+        """Add the non-constant ``value`` to the ledger, in normal form, unless it is there.
+
+        value != 0 iff its numerator is, so the entry is the numerator's
+        primitive part, of the sign for which sympy's ``could_extract_minus_sign``
+        is false: one entry for all constant multiples of a numerator.
+        """
+        numer = _in_field(value, self.field).numer
+        if numer.is_ground:
             return
-        self._recorded.add(value)
-        expr = _nonzero_normal_form(value.expr)
-        if expr is not None and all(expr != a.expr for a in self.assumed_nonzero):
-            self.assumed_nonzero.append(exact(expr, self))
-
-
-def _nonzero_normal_form(expr: sp.Expr):
-    # b != 0 iff numerator(b) != 0; normalize to a primitive polynomial with a
-    # positive leading sign so the ledger stays duplicate-free.
-    num, _ = sp.fraction(sp.cancel(expr))
-    num = sp.expand(num)
-    if num.is_number:
-        return None
-    free = sorted(num.free_symbols, key=lambda s: s.name)
-    try:
-        _, prim = sp.Poly(num, *free).primitive()
-        num = prim.as_expr()
-    except sp.PolynomialError:
-        pass
-    if num.could_extract_minus_sign():
-        num = -num
-    return num
+        numer = numer.primitive()[1]
+        expr = numer.as_expr()
+        if expr.could_extract_minus_sign():
+            numer, expr = -numer, -expr
+        if expr not in self._entries:
+            self._entries.add(expr)
+            self.assumed_nonzero.append(ScalarExpr(self.field.new(numer), self))
 
 
 # the types of a constant
@@ -326,14 +297,14 @@ class ScalarExpr:
         power = self.value ** -exponent
         return ScalarExpr(power.field.new(power.denom, power.numer), self.table)
 
-    def substitute(self, mapping: Mapping[Symbol, "Symbol | ScalarExpr | int | Fraction"]):
-        """Replace symbols simultaneously by symbols, rational constants or polynomials."""
+    def substitute(self, mapping: Mapping[str, "str | ScalarExpr | int | Fraction"]):
+        """Replace declared names simultaneously by names, rational constants or polynomials."""
         table = self.table
         field = table.field
         f = _in_field(self, field)
         pairs = []
-        for symbol, value in mapping.items():
-            if isinstance(value, Symbol):
+        for name, value in mapping.items():
+            if isinstance(value, str):
                 value = table.generator(value)
             else:
                 value = _in_field(value, field)
@@ -341,7 +312,7 @@ class ScalarExpr:
                 if value.denom != 1:
                     raise McforgeError(f"cannot substitute the non-polynomial {value}")
                 value = value.numer
-            pairs.append((table.generator(symbol).numer, value))
+            pairs.append((table.generator(name).numer, value))
         numer, denom = f.numer.compose(pairs), f.denom.compose(pairs)
         if not denom:
             raise DegeneratePointError(
@@ -429,15 +400,16 @@ def power(c, n: int):
     return quotient(c ** n, 1) if n >= 0 else quotient(1, c ** -n)
 
 
-def diff(c, symbol: Symbol):
+def diff(c, name: str):
+    """The partial derivative of ``c`` by the declared ``name``."""
     if type(c) is not ScalarExpr:
         return 0
     table = c.table
-    return _build(_in_field(c, table.field).diff(table.generator(symbol)), table)
+    return _build(_in_field(c, table.field).diff(table.generator(name)), table)
 
 
 def substitute(c, mapping: Mapping):
-    """``c`` with symbols replaced as ``ScalarExpr.substitute`` does; a constant is kept."""
+    """``c`` with names replaced as ``ScalarExpr.substitute`` does; a constant is kept."""
     return c.substitute(mapping) if type(c) is ScalarExpr else c
 
 
@@ -650,10 +622,10 @@ class ExprParser:
         self.table = table
 
     def name(self, tok: Token) -> dict:
-        entry = self.table.get(tok.text)
-        if entry is None:
-            raise ParseError(f"unknown symbol {tok.text!r}", tok.line, tok.col)
-        return {SCALAR: self.table.expr(entry)}
+        try:
+            return {SCALAR: self.table.expr(tok.text)}
+        except UnknownSymbolError:
+            raise ParseError(f"unknown symbol {tok.text!r}", tok.line, tok.col) from None
 
     def nonscalar(self, op: Token) -> Exception:
         raise NotImplementedError

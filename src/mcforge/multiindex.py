@@ -65,9 +65,6 @@ class MultiIndex(tuple):
         return f"MultiIndex{tuple(self)}"
 
 
-EMPTY = MultiIndex()
-
-
 def multinomial(C: MultiIndex, A: MultiIndex) -> int:
     """(C choose A) = C!/(A! B!) with B = C minus A; 0 if A is not inside C.
 

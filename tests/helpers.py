@@ -5,6 +5,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
+import sympy as sp
+
 from mcforge.exterior import (
     OneForm,
     ThreeForm,
@@ -19,7 +21,7 @@ from mcforge.exterior import (
     wedge_two_one,
 )
 from mcforge.jetalg import JacobiReport, JetVectorField, _point_map, bracket
-from mcforge.kernel import SCALAR, ExprParser, SymbolTable, substitute
+from mcforge.kernel import SCALAR, ExprParser, SymbolTable, as_expr, substitute
 from mcforge.multiindex import MultiIndex
 from mcforge.structure import StructureEquationSet
 
@@ -27,6 +29,36 @@ from mcforge.structure import StructureEquationSet
 def parse_expr(text: str, table: SymbolTable, line_offset: int = 1):
     """One scalar expression in the shared input grammar, every name a declared symbol."""
     return ExprParser(table).parse(text, line_offset).get(SCALAR, 0)
+
+
+def nonzero_normal_form(expr: sp.Expr):
+    """The ledger entry of ``expr`` as sympy's simplifier normalizes it: the oracle for
+    ``SymbolTable.record_nonzero``, or None for a constant numerator."""
+    # b != 0 iff numerator(b) != 0; normalize to a primitive polynomial with a
+    # positive leading sign so the ledger stays duplicate-free.
+    num, _ = sp.fraction(sp.cancel(expr))
+    num = sp.expand(num)
+    if num.is_number:
+        return None
+    free = sorted(num.free_symbols, key=lambda s: s.name)
+    try:
+        _, prim = sp.Poly(num, *free).primitive()
+        num = prim.as_expr()
+    except sp.PolynomialError:
+        pass
+    if num.could_extract_minus_sign():
+        num = -num
+    return num
+
+
+def reference_ledger(values) -> list:
+    """The ledger that recording ``values`` in order builds, by ``nonzero_normal_form``."""
+    ledger = []
+    for value in values:
+        expr = nonzero_normal_form(as_expr(value))
+        if expr is not None and all(expr != a for a in ledger):
+            ledger.append(expr)
+    return ledger
 
 
 @dataclass(frozen=True)
@@ -152,7 +184,7 @@ def structure_constants(eqs: StructureEquationSet,
 
 def expand_in_basis(v: JetVectorField, sol_parametric: list) -> dict:
     """Coordinates of a solution jet with respect to an echelon basis."""
-    return {p: v.pair(p) for p in sol_parametric if p.index.order <= v.truncation}
+    return {p: v.coefficients.get(p, 0) for p in sol_parametric if p.index.order <= v.truncation}
 
 
 def shape_key(sol) -> frozenset:

@@ -49,8 +49,8 @@ def test_criterion_1_diffeo_1d_golden():
         # raw split form sum_i binom(n, i) mu_{i+1} ^ mu_{n-i}
         split = TwoForm()
         for i in range(n + 1):
-            split = split + wedge(OneForm.generator(mu_n(i + 1)),
-                                  OneForm.generator(mu_n(n - i))
+            split = split + wedge(OneForm({mu_n(i + 1): 1}),
+                                  OneForm({mu_n(n - i): 1})
                                   ).scale(math.comb(n, i))
         # antisymmetrized display with integer coefficients
         display = {}

@@ -670,3 +670,25 @@ def test_point_value_inside_the_power_bound_is_accepted(capsys, value):
                          "--order", "0", "--point", f"x={value}")
     assert (code, err) == (0, "warning: solution basis has dimension 1; no pair of jets to check\n")
     assert out == "0 pairings checked, 0 violations\n"
+
+
+INPUTS = Path(__file__).parent / "inputs"
+
+
+def test_coframe_with_split_symbols_verifies_as_one_line(capsys):
+    # w1 = dx and the divisor x are built before y is declared
+    for fmt in ("text", "json"):
+        split = run(capsys, "verify-coframe", str(INPUTS / "split_symbols.coframe"),
+                    "--format", fmt)
+        one_line = run(capsys, "verify-coframe", "@cartan_example2.coframe", "--format", fmt)
+        assert split == one_line and split[0] == 0
+
+
+def test_ambiguous_jet_suffix_exits_2(capsys):
+    # prolonged, the jet (x, x, xx) of this input would print as xi_xxxx,
+    # which reads back as other jets
+    code, out, err = run(capsys, "prolong", str(INPUTS / "ambiguous_suffix.dsys"),
+                         "--order", "3")
+    assert (code, out) == (2, "")
+    assert err == ("error: ambiguous derivative coordinates 'xxx' in 'xi_xxx': "
+                   "(x, xx) or (x, x, x) (line 5, column 5)\n")

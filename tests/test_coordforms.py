@@ -82,8 +82,7 @@ def test_d_squared_zero_on_polynomial_oneforms(a, b, c, d):
     omega = one(s, x=f, y=g)
     d_omega = exterior_derivative(omega, s)
     coeff = d_omega.terms.get(("x", "y"), 0)
-    sx, sy = s.table.lookup("x"), s.table.lookup("y")
-    assert coeff == diff(g, sx) - diff(f, sy)
+    assert coeff == diff(g, "x") - diff(f, "y")
 
 
 def test_parse_coframe_bundled():

@@ -24,7 +24,7 @@ from mcforge.exterior import (
     reduce_three,
     reduce_two,
 )
-from mcforge.kernel import SymbolKind, SymbolTable, is_constant
+from mcforge.kernel import SymbolTable, is_constant
 from mcforge.multiindex import MultiIndex
 from mcforge.structure import check_d_squared, pseudo_group_structure
 
@@ -32,8 +32,8 @@ from conftest import bundled
 from helpers import d_apply_two_by_wedge
 
 TABLE = SymbolTable()
-TABLE.declare("X", SymbolKind.TARGET)
-TABLE.declare("Y", SymbolKind.TARGET)
+TABLE.declare("X")
+TABLE.declare("Y")
 X, Y = TABLE.expr("X"), TABLE.expr("Y")
 
 

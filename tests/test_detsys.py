@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from importlib import resources
 
@@ -50,6 +51,32 @@ def test_parse_jet_suffix_is_multiset():
     (eq,) = s.equations
     # eta_xy and eta_yx are the same jet, so the terms combine
     assert eq.terms == {js(1, 0, 1): 2}
+
+
+def test_parse_jet_suffix_reads_every_split():
+    # x.yz is the only split of 'xyz'; a longest-name-first reader takes xy, then fails
+    s = parse_system("coords: x, xy, yz\nfields: a, b, c\neq: a_xyz = 0")
+    assert s.equations[0].terms == {js(0, 0, 2): 1}
+    # 'aaaaa' splits as aa.aaa and as aaa.aa: one multiset, one jet
+    s = parse_system("coords: aa, aaa\nfields: f, g\neq: f_aaaaa = g")
+    assert s.equations[0].terms == {js(0, 0, 1): 1, js(1): -1}
+
+
+@pytest.mark.parametrize("jet,readings", [
+    ("xi_xx", "(xx) or (x, x)"),
+    ("xi_xxx", "(x, xx) or (x, x, x)"),
+    ("xi_xxxx", "(xx, xx) or (x, x, xx)"),
+    ("eta_" + "x" * 40, "(xx, xx, xx, xx, xx, xx, xx, xx, xx, xx, xx, xx, xx, xx, xx, xx, "
+                        "xx, xx, xx, xx) or (x, x, xx, xx, xx"),
+])
+def test_parse_ambiguous_jet_suffix_rejected(jet, readings):
+    # with coords x and xx a run of x's splits into different multisets; 40 x's
+    # split some 10^8 ways, and are refused without listing them
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="ambiguous derivative coordinates") as exc:
+        parse_system(f"coords: x, xx\nfields: xi, eta\neq: {jet} = 0")
+    assert readings in str(exc.value) and "(line 3, column 5)" in str(exc.value)
+    assert time.perf_counter() - start < 1
 
 
 def test_parse_collapsing_equation_rejected():

@@ -17,7 +17,7 @@ from mcforge.exterior import (
     wedge,
     wedge_two_one,
 )
-from mcforge.kernel import SymbolKind, SymbolTable
+from mcforge.kernel import SymbolTable
 from mcforge.multiindex import MultiIndex
 
 from helpers import reduce_form, wedge_one_two
@@ -143,7 +143,7 @@ def test_d_apply_missing_rule():
 
 def test_reduce_two_with_variable_coefficients():
     table = SymbolTable()
-    table.declare("X", SymbolKind.TARGET)
+    table.declare("X")
     X = table.expr("X")
     rel = {g(2, 2): OneForm({g(1, 1): X})}
     w = TwoForm({(g(1, 1), g(2, 2)): 1})

@@ -22,11 +22,11 @@ from mcforge.exterior import (
     d_apply_two,
     reduce_three,
 )
-from mcforge.kernel import SymbolKind, SymbolTable, as_expr
+from mcforge.kernel import SymbolTable, as_expr
 from mcforge.multiindex import MultiIndex
 
 TABLE = SymbolTable()
-TABLE.declare("X", SymbolKind.TARGET)
+TABLE.declare("X")
 X = TABLE.expr("X")
 
 POOL = sorted(McGenerator(comp, MultiIndex(entries))

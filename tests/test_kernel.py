@@ -12,7 +12,6 @@ from mcforge.kernel import (
     McforgeError,
     ParseError,
     ScalarExpr,
-    SymbolKind,
     SymbolTable,
     UnknownSymbolError,
     ZeroDivisionFunctionError,
@@ -29,19 +28,23 @@ from helpers import parse_expr
 @pytest.fixture
 def table():
     t = SymbolTable()
-    t.declare("x", SymbolKind.SOURCE)
-    t.declare("y", SymbolKind.SOURCE)
+    t.declare("x")
+    t.declare("y")
     return t
 
 
 def test_duplicate_declaration_rejected(table):
     with pytest.raises(DuplicateSymbolError):
-        table.declare("x", SymbolKind.TARGET)
+        table.declare("x")
+    assert table.names == ["x", "y"]
 
 
 def test_unknown_symbol_rejected(table):
-    with pytest.raises(UnknownSymbolError):
-        table.lookup("nope")
+    x = table.expr("x")
+    for lookup in (lambda: table.expr("nope"), lambda: diff(x, "nope"),
+                   lambda: x.substitute({"nope": 1}), lambda: x.substitute({"x": "nope"})):
+        with pytest.raises(UnknownSymbolError):
+            lookup()
 
 
 def test_canonical_quotient(table):
@@ -80,16 +83,28 @@ def test_division_by_constant_not_recorded(table):
     assert len(table.assumed_nonzero) == before
 
 
-def test_ledger_normalizes_each_raw_value_once(table, monkeypatch):
-    calls = []
-    normal_form = kernel._nonzero_normal_form
-    monkeypatch.setattr(kernel, "_nonzero_normal_form",
-                        lambda expr: calls.append(expr) or normal_form(expr))
+def test_ledger_keeps_one_entry_per_numerator(table):
     x, y = table.expr("x"), table.expr("y")
-    for value in (2 * x, x * y, 2 * x, -x, x * y, -2 * x):
+    for value in (2 * x, x * y, 2 * x, -x, x * y, -2 * x, 1 / x, (3 * x) / y):
         table.record_nonzero(value)
     assert [str(a) for a in table.assumed_nonzero] == ["x", "x*y"]
-    assert len(calls) == 4  # 2*x and x*y come back once each and are skipped
+
+
+def test_ledger_and_values_across_a_later_declaration():
+    # a later declaration builds the field anew: a value and a ledger entry
+    # built before it combine with values built after it
+    table = SymbolTable()
+    table.declare("y")
+    early = table.expr("y") - 1
+    table.record_nonzero(early)
+    table.declare("a")  # sorts before y: the generators are numbered anew
+    late = table.expr("y") - 1
+    assert early == late and hash(early) == hash(late)
+    assert early * table.expr("a") - table.expr("a") * late == 0
+    table.record_nonzero(3 - 3 * table.expr("y"))
+    table.record_nonzero(table.expr("a") * early)
+    assert [str(a) for a in table.assumed_nonzero] == ["y - 1", "a*y - a"]
+    assert substitute(early / table.expr("a"), {"y": 3, "a": 2}) == 1
 
 
 def test_echelon_solves_and_back_substitutes(table):
@@ -116,7 +131,7 @@ def test_echelon_records_pivot_without_division(table):
 
 def test_diff(table):
     x, y = table.expr("x"), table.expr("y")
-    sx = table.lookup("x")
+    sx = "x"
     assert diff(y / x, sx) == -y / (x * x)
     assert diff(x ** 3, sx) == 3 * x * x
     assert diff(Fraction(1, 2), sx) == 0 and type(diff(3, sx)) is int
@@ -125,7 +140,7 @@ def test_diff(table):
 def test_substitute_exact(table):
     x, y = table.expr("x"), table.expr("y")
     e = (x + y) / (x - y)
-    v = e.substitute({table.lookup("x"): Fraction(3), table.lookup("y"): 1})
+    v = e.substitute({"x": Fraction(3), "y": 1})
     assert v == 2
 
 
@@ -133,13 +148,13 @@ def test_substitute_degenerate_point(table):
     x, y = table.expr("x"), table.expr("y")
     e = 1 / (x - y)
     with pytest.raises(DegeneratePointError):
-        e.substitute({table.lookup("x"): 1, table.lookup("y"): 1})
+        e.substitute({"x": 1, "y": 1})
 
 
 def test_simultaneous_substitution(table):
     x, y = table.expr("x"), table.expr("y")
     # swap x and y in one step; sequential substitution would collapse both
-    swapped = (x - 2 * y).substitute({table.lookup("x"): y, table.lookup("y"): x})
+    swapped = (x - 2 * y).substitute({"x": y, "y": x})
     assert swapped == y - 2 * x
 
 
@@ -221,17 +236,17 @@ def test_sum_matches_fraction_arithmetic(values):
        st.integers(min_value=-4, max_value=4))
 def test_polynomial_eval_commutes_with_substitution(a, b, c):
     table = SymbolTable()
-    table.declare("x", SymbolKind.SOURCE)
+    table.declare("x")
     x = table.expr("x")
     e = a * x * x + b * x + c
     for point in (-2, 0, 1, 3):
-        assert substitute(e, {table.lookup("x"): point}) == a * point * point + b * point + c
+        assert substitute(e, {"x": point}) == a * point * point + b * point + c
 
 
 @given(st.integers(min_value=-3, max_value=3), st.integers(min_value=-3, max_value=3))
 def test_product_quotient_roundtrip(p, q):
     table = SymbolTable()
-    table.declare("x", SymbolKind.SOURCE)
+    table.declare("x")
     x = table.expr("x")
     e = x + p
     f = x * x + q * x + 1
@@ -290,11 +305,11 @@ def test_a_constant_is_never_a_scalar(table):
     with pytest.raises(McforgeError):
         ScalarExpr(2)
     with pytest.raises(McforgeError):
-        ScalarExpr(table.generator(table.lookup("x")))  # no table
+        ScalarExpr(table.generator("x"))  # no table
     # operations whose result is constant return it plain, never a float
     for value, want in ((x / x, 1), (x - x, 0), (x ** 0, 1), ((2 * x) / (4 * x), Fraction(1, 2)),
-                        (x * (1 / x), 1), (diff(x, table.lookup("x")), 1),
-                        (x.substitute({table.lookup("x"): 3}), 3)):
+                        (x * (1 / x), 1), (diff(x, "x"), 1),
+                        (x.substitute({"x": 3}), 3)):
         assert type(value) is type(want) and value == want
     assert x != 1 and x != Fraction(1, 2) and 1 != x
 

@@ -5,7 +5,6 @@ import operator
 from hypothesis import given, settings, strategies as st
 
 from mcforge.multiindex import (
-    EMPTY,
     MultiIndex,
     all_indices,
     delete_one,
@@ -33,7 +32,7 @@ def test_entries_are_sorted_multiset():
 
 
 def test_factorial_weight():
-    assert factorial_weight(EMPTY) == 1
+    assert factorial_weight(MultiIndex()) == 1
     assert factorial_weight(MultiIndex((0, 0, 0))) == 6
     assert factorial_weight(MultiIndex((0, 0, 1))) == 2
     assert factorial_weight(MultiIndex((0, 1, 2))) == 1
@@ -42,7 +41,7 @@ def test_factorial_weight():
 def test_multinomial_examples():
     xx, x = MultiIndex((0, 0)), MultiIndex((0,))
     assert multinomial(xx, x) == 2
-    assert multinomial(xx, EMPTY) == 1
+    assert multinomial(xx, MultiIndex()) == 1
     assert multinomial(xx, xx) == 1
     assert multinomial(MultiIndex((0, 1)), MultiIndex((1,))) == 1
     assert multinomial(MultiIndex((0, 0, 1)), MultiIndex((0, 1))) == 2
@@ -111,7 +110,7 @@ def test_delete_one():
     assert delete_one(B, 0) == MultiIndex((0, 1))
     assert delete_one(B, 1) == MultiIndex((0, 0))
     assert delete_one(B, 2) is None
-    assert delete_one(EMPTY, 0) is None
+    assert delete_one(MultiIndex(), 0) is None
 
 
 def test_all_indices_count():
@@ -126,7 +125,7 @@ def test_all_indices_count():
 
 def test_render_index():
     assert render_index(MultiIndex((0, 2, 1)), ["x", "y", "z"]) == "xyz"
-    assert render_index(EMPTY, ["x"]) == ""
+    assert render_index(MultiIndex(), ["x"]) == ""
 
 
 def test_graded_lex_ordering():

@@ -20,7 +20,6 @@ from sympy import QQ
 from mcforge.kernel import (
     DegeneratePointError,
     ScalarExpr,
-    SymbolKind,
     SymbolTable,
     as_expr,
     as_fraction,
@@ -34,11 +33,12 @@ from mcforge.kernel import (
 )
 from mcforge.render import coeff_latex, coeff_text
 
+from helpers import reference_ledger
+
 NAMES = ["X", "x", "eta", "T"]
 TABLE = SymbolTable()
-for _name, _kind in zip(NAMES, [SymbolKind.TARGET, SymbolKind.SOURCE, SymbolKind.JET,
-                                SymbolKind.TARGET]):
-    TABLE.declare(_name, _kind)
+for _name in NAMES:
+    TABLE.declare(_name)
 
 RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -87,7 +87,7 @@ def apply(op, a, b, n, name):
         return (None if not v else (quotient(u, v), reference(ru / rv)))
     if op == "**":
         return (None if n < 0 and not u else (power(u, n), reference(ru ** n)))
-    return diff(u, TABLE.lookup(name)), reference(sp.diff(ru, sp.Symbol(name)))
+    return diff(u, name), reference(sp.diff(ru, sp.Symbol(name)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -124,8 +124,7 @@ def test_substitute_matches_reference(data):
     names = data.draw(st.lists(st.sampled_from(NAMES), min_size=1, unique=True))
     # each name goes to a rational point or, simultaneously, to another symbol
     targets = [data.draw(st.one_of(RATIONALS, st.sampled_from(NAMES))) for _ in names]
-    mapping = {TABLE.lookup(n): (TABLE.expr(t) if isinstance(t, str) else t)
-               for n, t in zip(names, targets)}
+    mapping = dict(zip(names, targets))
     want = reference(ref.subs({sp.Symbol(n): (sp.Symbol(t) if isinstance(t, str)
                                               else rational(t))
                                for n, t in zip(names, targets)}, simultaneous=True))
@@ -138,13 +137,13 @@ def test_substitute_matches_reference(data):
 
 def test_symbol_declared_after_the_field_was_built():
     table = SymbolTable()
-    table.declare("x", SymbolKind.SOURCE)
+    table.declare("x")
     early = table.expr("x") + 1
-    table.declare("a", SymbolKind.SOURCE)  # sorts after x: the field is built anew
+    table.declare("a")  # sorts after x: the field is built anew
     a = table.expr("a")
     late = table.expr("x") + 1
     assert early == late and hash(early) == hash(late)
-    assert str(diff(early * a, table.lookup("x"))) == "a"
+    assert str(diff(early * a, "x")) == "a"
     assert str(early / a - late / a) == "0"
 
 
@@ -165,7 +164,7 @@ def polynomial(terms):
     for c, exponents in terms:
         monomial = TABLE.field.one * c
         for name, e in zip(NAMES, exponents):
-            monomial = monomial * TABLE.generator(TABLE.lookup(name)) ** e
+            monomial = monomial * TABLE.generator(name) ** e
         out = out + monomial
     return out
 
@@ -241,8 +240,8 @@ def test_constant_arithmetic_is_int_exactly_when_integral(p, q, n):
         cases.append((power(a, n), fp ** n))
     for got, want in cases:
         check_constant(got, want)
-    assert diff(a, TABLE.lookup("x")) == 0
-    assert type(diff(a, TABLE.lookup("x"))) is int
+    assert diff(a, "x") == 0
+    assert type(diff(a, "x")) is int
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -304,3 +303,51 @@ def test_constant_latex_is_sympys_without_sympy(p, q):
     assert coeff_latex(Fraction(-1, 2)) == "- \\frac{1}{2}"
     assert coeff_latex(Fraction(7, 3)) == "\\frac{7}{3}"
     assert coeff_latex(-3) == coeff_latex(Fraction(-6, 2)) == "-3"
+
+
+# ---------------------------------------------------------------------------
+# The genericity ledger against its normal form through sympy's simplifier.
+# Numbered names sort x1, x2, x10 for the field and x1, x10, x2 by text, and
+# a sign tie (as many - as + terms) is where a sign rule can disagree.
+# ---------------------------------------------------------------------------
+
+LEDGER_NAMES = ["x1", "x2", "x10", "X", "Y", "a_b"]
+MONOMIALS = st.tuples(*[st.integers(0, 2)] * len(LEDGER_NAMES))
+SIGNED_POLYS = st.lists(st.tuples(st.integers(-4, 4).filter(bool), MONOMIALS),
+                        min_size=1, max_size=4)
+# as many terms of each sign, each coefficient +-1 or +-2
+TIED_POLYS = st.lists(MONOMIALS, min_size=2, max_size=6, unique=True).flatmap(
+    lambda ms: st.lists(st.integers(1, 2), min_size=len(ms), max_size=len(ms)).map(
+        lambda cs: [(c if i % 2 else -c, m) for i, (c, m) in enumerate(zip(cs, ms))]))
+LEDGER_POLYS = st.one_of(SIGNED_POLYS, TIED_POLYS)
+
+
+def ledger_value(table, numer, denom, q):
+    """q * numer / denom in ``table``, from (coefficient, exponents) terms."""
+    def polynomial(terms):
+        out = 0
+        for c, exponents in terms:
+            monomial = c
+            for name, e in zip(LEDGER_NAMES, exponents):
+                monomial = monomial * table.expr(name) ** e
+            out = out + monomial
+        return out
+    return q * polynomial(numer) / polynomial(denom) if polynomial(denom) else 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(LEDGER_POLYS, LEDGER_POLYS, CONSTANTS), min_size=1, max_size=5),
+       CONSTANTS)
+def test_ledger_matches_simplifier_normal_form(drawn, scale):
+    table = SymbolTable()
+    for name in LEDGER_NAMES:
+        table.declare(name)
+    values = [v for v in (ledger_value(table, *d) for d in drawn) if not is_constant(v)]
+    # each value again, scaled: its entry is there already
+    values += [scale * v for v in values]
+    for value in values:
+        table.record_nonzero(value)
+    want = reference_ledger(values)
+    assert [a.expr for a in table.assumed_nonzero] == want
+    assert [str(a) for a in table.assumed_nonzero] == [sp.sstr(w, order="lex") for w in want]
+    assert all(a.table is table for a in table.assumed_nonzero)

@@ -37,8 +37,8 @@ def split_form_1d(n):
     """d mu_n = sum_i binom(n, i) mu_{i+1} ^ mu_{n-i}, before normalization."""
     out = TwoForm()
     for i in range(n + 1):
-        a = OneForm.generator(mu_n(i + 1))
-        b = OneForm.generator(mu_n(n - i))
+        a = OneForm({mu_n(i + 1): 1})
+        b = OneForm({mu_n(n - i): 1})
         out = out + wedge(a, b).scale(math.comb(n, i))
     return out
 
@@ -83,11 +83,11 @@ def test_diffeo_multidim_example():
     expected = TwoForm()
     for b in range(3):
         # A = (), B = (x): mu^1_{b} ^ mu^b_{x}
-        expected = expected + wedge(OneForm.generator(mc(1, b)),
-                                    OneForm.generator(McGenerator(b, MultiIndex((0,)))))
+        expected = expected + wedge(OneForm({mc(1, b): 1}),
+                                    OneForm({McGenerator(b, MultiIndex((0,))): 1}))
         # A = (x), B = (): mu^1_{x b} ^ mu^b
-        expected = expected + wedge(OneForm.generator(McGenerator(1, MultiIndex((0, b)))),
-                                    OneForm.generator(mc(b)))
+        expected = expected + wedge(OneForm({McGenerator(1, MultiIndex((0, b))): 1}),
+                                    OneForm({mc(b): 1}))
     assert got == expected
 
 
