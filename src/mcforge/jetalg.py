@@ -14,7 +14,7 @@ from typing import Mapping, Optional
 
 from .detsys import DeterminingSystem, solve_to_order
 from .exterior import McGenerator
-from .kernel import DegeneratePointError, McforgeError, as_fraction, substitute
+from .kernel import DegeneratePointError, McforgeError, as_constant, as_fraction, substitute
 from .multiindex import MultiIndex, delete_one, multinomial
 from .structure import StructureEquationSet
 
@@ -45,9 +45,10 @@ class JetVectorField:
     """Truncated Taylor jet of a vector field at the session base point.
 
     Coefficients map each McGenerator (a, A), or its plain (a, A) pair, to
-    a nonzero Fraction: a jet lives at one rational point, so its data are
-    exact rationals (``kernel.as_fraction`` refuses anything else).
-    Everything of order above the truncation is dropped.
+    a nonzero rational constant, held as the kernel holds one: an ``int``
+    when it is integral, else a ``Fraction``.  A jet lives at one rational
+    point, so ``kernel.as_constant`` refuses anything else.  Everything of
+    order above the truncation is dropped.
     """
 
     __slots__ = ("coefficients", "truncation")
@@ -58,8 +59,8 @@ class JetVectorField:
         for key, value in coefficients.items():
             if key[1].order > truncation:
                 continue
-            if type(value) is not Fraction:
-                value = as_fraction(value)
+            if type(value) is not int:
+                value = as_constant(value)
             if value:
                 coeffs[key] = value
         self.coefficients = coeffs
@@ -86,7 +87,7 @@ class JetVectorField:
         return self + other.scale(-1)
 
     def scale(self, c) -> "JetVectorField":
-        c = as_fraction(c)
+        c = as_constant(c)
         return JetVectorField(
             {k: v * c for k, v in self.coefficients.items()}, self.truncation)
 
@@ -103,19 +104,38 @@ class JetVectorField:
         return f"Jet<{self.truncation}>({body or '0'})"
 
 
-def bracket(v: JetVectorField, w: JetVectorField) -> JetVectorField:
-    """Lie bracket of jets; the result is exact one order below the inputs."""
+def _bracket_into(coeffs: dict, v: JetVectorField, w: JetVectorField, memo: dict) -> int:
+    """Add the coefficients of [v, w] into ``coeffs``; returns the bracket's truncation.
+
+    ``memo`` maps (a, A, b, B) to ``bracket_monomial(a, A, b, B)`` as a tuple
+    of (generator, int) pairs; the caller makes one per check and drops it
+    with the check.  A sum that cancels is left in ``coeffs`` as 0.
+    """
     if v.truncation != w.truncation:
         raise TruncationMismatchError(
             f"mismatched truncations {v.truncation} != {w.truncation}")
-    out_trunc = v.truncation - 1
-    coeffs: dict = {}
+    top = v.truncation
     for (a, A), cv in v.coefficients.items():
         for (b, B), cw in w.coefficients.items():
-            for g, c in bracket_monomial(a, A, b, B).items():
-                if g.index.order <= out_trunc:
-                    coeffs[g] = coeffs.get(g, 0) + cv * cw * c
-    return JetVectorField(coeffs, out_trunc)
+            # every term of [v_a^A, v_b^B] has order |A| + |B| - 1, so a pair
+            # above this bound would only be truncated away
+            if len(A) + len(B) > top:
+                continue
+            key = (a, A, b, B)
+            terms = memo.get(key)
+            if terms is None:
+                terms = memo[key] = tuple(bracket_monomial(a, A, b, B).items())
+            c = cv * cw
+            for g, n in terms:
+                coeffs[g] = coeffs.get(g, 0) + c * n
+    return top - 1
+
+
+def bracket(v: JetVectorField, w: JetVectorField) -> JetVectorField:
+    """Lie bracket of jets; the result is exact one order below the inputs."""
+    coeffs: dict = {}
+    truncation = _bracket_into(coeffs, v, w, {})
+    return JetVectorField(coeffs, truncation)
 
 
 def _point_map(sys: DeterminingSystem, point: Mapping[str, object], target: bool):
@@ -139,7 +159,7 @@ def solution_basis(sys: DeterminingSystem, point: Mapping[str, object],
 
     The system is solved one order above N so that order-N data is exact.
     Values in ``point`` must be rationals (int or Fraction); each dependent
-    coefficient is evaluated there once, into a Fraction.
+    coefficient is evaluated there once, into a constant.
     """
     sol = solve_to_order(sys, N + 1, cap=cap)
     subs = _point_map(sys, point, target=False)
@@ -153,11 +173,11 @@ def solution_basis(sys: DeterminingSystem, point: Mapping[str, object],
     for p in sol.parametric:
         if p.index.order > N:
             continue
-        coeffs = {p: Fraction(1)}
+        coeffs = {p: 1}
         for d, rhs in dependents:
             c = rhs.get(p)
             if c is not None:
-                coeffs[d] = as_fraction(substitute(c, subs))
+                coeffs[d] = as_constant(substitute(c, subs))
         basis.append(JetVectorField(coeffs, N))
     return basis
 
@@ -176,21 +196,23 @@ def check_duality(eqs: StructureEquationSet, basis: list[JetVectorField],
                   point: Mapping[str, object]) -> DualityReport:
     """Check (d g)(v_i, v_j) = -<g, [v_i, v_j]> for all basis generators and jet pairs.
 
-    Structure-equation coefficients are evaluated once, into Fractions, at the
+    Structure-equation coefficients are evaluated once, into constants, at the
     target point, which coincides with the source point on the identity fiber.
     Each d g becomes an antisymmetric matrix over jet keys, stored as one
     table: ``table[(h, k)]`` lists ``(g, c)`` and ``table[(k, h)]`` lists
     ``(g, -c)``.  A pair of jets then only visits the products of their
-    supports, and every comparison is equality in Q.
+    supports, and every comparison is equality in Q.  Each monomial bracket is
+    computed once per call.
     """
     subs = _point_map(eqs.system, point, target=True)
     table: dict = {}
     for g in eqs.basis:
         for (h, k), c in eqs.equations[g].terms.items():
-            value = as_fraction(substitute(c, subs))
+            value = as_constant(substitute(c, subs))
             if value:
                 table.setdefault((h, k), []).append((g, value))
                 table.setdefault((k, h), []).append((g, -value))
+    memo: dict = {}
     pairings = 0
     violations = []
     for i, j in itertools.combinations(range(len(basis)), 2):
@@ -199,13 +221,14 @@ def check_duality(eqs: StructureEquationSet, basis: list[JetVectorField],
             for b, cb in basis[j].coefficients.items():
                 for g, c in table.get((a, b), ()):
                     lhs[g] = lhs.get(g, 0) + c * ca * cb
-        br = bracket(basis[i], basis[j]).coefficients
+        br: dict = {}
+        _bracket_into(br, basis[i], basis[j], memo)
         for g in eqs.basis:
             pairings += 1
             left = lhs.get(g, 0)
             right = -br.get(g, 0)
             if left != right:
-                violations.append((g, i, j, left, right))
+                violations.append((g, i, j, as_constant(left), as_constant(right)))
     return DualityReport(pairings, violations)
 
 
@@ -222,28 +245,34 @@ class JacobiReport:
 def jacobi_check(basis: list[JetVectorField]) -> JacobiReport:
     """Cyclic double brackets must vanish at truncation N - 2.
 
-    Each triple i < j < k sums [[u, v], w] + [[v, w], u] + [[w, u], v] term
-    for term; [w, u] is bracketed as it stands, not taken as -[u, w], so the
-    check assumes no antisymmetry.  An inner bracket is computed once per
-    ordered pair and each jet truncated once, so a call makes at most
-    n(n - 1) + 3 C(n, 3) brackets for n jets.
+    Each triple i < j < k adds [[u, v], w], [[v, w], u] and [[w, u], v] term
+    for term into one dict; [w, u] is bracketed as it stands, not taken as
+    -[u, w], so the check assumes no antisymmetry.  An inner bracket is
+    computed once per ordered pair and each jet truncated once, so a call
+    makes at most n(n - 1) + 3 C(n, 3) brackets for n jets.  The call keeps
+    one table of monomial brackets, so each [v_a^A, v_b^B] is computed once
+    per call; the table does not outlive it.
     """
     low = [v.truncate(v.truncation - 1) for v in basis]
+    memo: dict = {}
     inner: dict = {}
 
     def br(a, b):
         if (a, b) not in inner:
-            inner[a, b] = bracket(basis[a], basis[b])
+            coeffs: dict = {}
+            truncation = _bracket_into(coeffs, basis[a], basis[b], memo)
+            inner[a, b] = JetVectorField(coeffs, truncation)
         return inner[a, b]
 
     triples = 0
     violations = []
     for i, j, k in itertools.combinations(range(len(basis)), 3):
-        total = (bracket(br(i, j), low[k])
-                 + bracket(br(j, k), low[i])
-                 + bracket(br(k, i), low[j]))
+        total: dict = {}
+        _bracket_into(total, br(i, j), low[k], memo)
+        _bracket_into(total, br(j, k), low[i], memo)
+        truncation = _bracket_into(total, br(k, i), low[j], memo)
         triples += 1
-        if not total.is_zero:
-            violations.append((i, j, k, total))
+        if any(total.values()):
+            violations.append((i, j, k, JetVectorField(total, truncation)))
     return JacobiReport(triples, violations)
 

@@ -18,12 +18,11 @@ This module is the only one that knows how a value is held.  Other modules
 combine values with ``+ - *`` and call the functions below for the rest:
 ``quotient`` and ``power`` (a quotient of two constants is a ``Fraction`` or
 an ``int``, never a float), ``diff``, ``substitute``, ``degree``,
-``free_names``, ``as_fraction``, ``as_expr`` and the builder ``exact``.
+``free_names``, ``as_fraction``, ``as_constant`` and ``as_expr``.
 
 No arithmetic goes through sympy expressions or sympy's simplifier, and the
 genericity ledger is normalized in the field too.  A sympy ``Expr`` appears
-only at the edges: ``as_expr`` (rendering), the sign of a ledger entry, and a
-value built from an ``Expr``.
+only at the edges: ``as_expr`` (rendering) and the sign of a ledger entry.
 """
 
 from __future__ import annotations
@@ -346,25 +345,6 @@ _KINDS = (int, Fraction, ScalarExpr)
 # ---------------------------------------------------------------------------
 
 
-def exact(value, table: SymbolTable | None = None):
-    """``value`` as a constant or a ScalarExpr of ``table``.
-
-    ``value`` is an ``int``, a ``Fraction``, a sympy rational, an element of
-    ``table``'s field or a sympy rational function of its declared symbols.
-    """
-    if isinstance(value, numbers.Rational):
-        return _constant(Fraction(int(value.numerator), int(value.denominator)))
-    if isinstance(value, sp.Expr) and table is not None:
-        try:
-            value = table.field.from_expr(value)
-        except ValueError:
-            raise McforgeError(
-                f"{value} is not a rational function of declared symbols") from None
-    if isinstance(value, FracElement):
-        return _build(value, table)
-    raise McforgeError(f"cannot interpret {value!r} as an exact scalar")
-
-
 def is_constant(c) -> bool:
     return type(c) is not ScalarExpr
 
@@ -374,6 +354,14 @@ def as_fraction(c) -> Fraction:
     if isinstance(c, numbers.Rational):
         return Fraction(c)
     raise McforgeError(f"{c} is not a rational constant")
+
+
+def as_constant(c):
+    """A constant as the kernel holds it: an ``int`` when it is integral, else a
+    ``Fraction``; anything else is refused with McforgeError."""
+    if type(c) is Fraction:
+        return _constant(c)
+    return c if type(c) is int else _constant(as_fraction(c))
 
 
 def as_expr(c) -> sp.Expr:

@@ -2,10 +2,13 @@
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Mapping, Optional
 
 import sympy as sp
+from sympy.polys.fields import FracElement
 
 from mcforge.exterior import (
     OneForm,
@@ -20,10 +23,45 @@ from mcforge.exterior import (
     reduce_two,
     wedge_two_one,
 )
-from mcforge.jetalg import JacobiReport, JetVectorField, _point_map, bracket
-from mcforge.kernel import SCALAR, ExprParser, SymbolTable, as_expr, substitute
+from mcforge import jetalg
+from mcforge.jetalg import (
+    DualityReport,
+    JacobiReport,
+    JetVectorField,
+    TruncationMismatchError,
+    _point_map,
+)
+from mcforge.kernel import (
+    SCALAR,
+    ExprParser,
+    McforgeError,
+    SymbolTable,
+    _build,
+    _constant,
+    as_expr,
+    substitute,
+)
 from mcforge.multiindex import MultiIndex
 from mcforge.structure import StructureEquationSet
+
+
+def exact(value, table: SymbolTable | None = None):
+    """``value`` as a constant or a ScalarExpr of ``table``.
+
+    ``value`` is an ``int``, a ``Fraction``, a sympy rational, an element of
+    ``table``'s field or a sympy rational function of its declared symbols.
+    """
+    if isinstance(value, numbers.Rational):
+        return _constant(Fraction(int(value.numerator), int(value.denominator)))
+    if isinstance(value, sp.Expr) and table is not None:
+        try:
+            value = table.field.from_expr(value)
+        except ValueError:
+            raise McforgeError(
+                f"{value} is not a rational function of declared symbols") from None
+    if isinstance(value, FracElement):
+        return _build(value, table)
+    raise McforgeError(f"cannot interpret {value!r} as an exact scalar")
 
 
 def parse_expr(text: str, table: SymbolTable, line_offset: int = 1):
@@ -147,19 +185,60 @@ def factorial_weight(A: MultiIndex) -> int:
     return out
 
 
+def reference_bracket(v: JetVectorField, w: JetVectorField) -> JetVectorField:
+    """``jetalg.bracket`` term by term: no table of monomial brackets, no bound
+    on a pair's order, and each generator tested against the truncation."""
+    if v.truncation != w.truncation:
+        raise TruncationMismatchError(
+            f"mismatched truncations {v.truncation} != {w.truncation}")
+    out_trunc = v.truncation - 1
+    coeffs: dict = {}
+    for (a, A), cv in v.coefficients.items():
+        for (b, B), cw in w.coefficients.items():
+            for g, c in jetalg.bracket_monomial(a, A, b, B).items():
+                if g.index.order <= out_trunc:
+                    coeffs[g] = coeffs.get(g, 0) + cv * cw * c
+    return JetVectorField(coeffs, out_trunc)
+
+
 def jacobi_by_triples(basis: list[JetVectorField]) -> JacobiReport:
-    """``jetalg.jacobi_check`` computed triple by triple, every bracket from scratch."""
+    """``jetalg.jacobi_check`` computed triple by triple, every bracket from scratch
+    by ``reference_bracket``."""
     triples = 0
     violations = []
     for i, j, k in itertools.combinations(range(len(basis)), 3):
         u, v, w = basis[i], basis[j], basis[k]
-        total = (bracket(bracket(u, v), w.truncate(u.truncation - 1))
-                 + bracket(bracket(v, w), u.truncate(u.truncation - 1))
-                 + bracket(bracket(w, u), v.truncate(u.truncation - 1)))
+        low = u.truncation - 1
+        total = (reference_bracket(reference_bracket(u, v), w.truncate(low))
+                 + reference_bracket(reference_bracket(v, w), u.truncate(low))
+                 + reference_bracket(reference_bracket(w, u), v.truncate(low)))
         triples += 1
         if not total.is_zero:
             violations.append((i, j, k, total))
     return JacobiReport(triples, violations)
+
+
+def duality_by_pairs(eqs: StructureEquationSet, basis: list[JetVectorField],
+                     point: Mapping[str, object]) -> DualityReport:
+    """``jetalg.check_duality`` by the definition: (d g)(v_i, v_j) summed over the
+    terms c mu^h ^ mu^k of d g as c (v_i^h v_j^k - v_i^k v_j^h), against
+    -<g, [v_i, v_j]> by ``reference_bracket``."""
+    subs = _point_map(eqs.system, point, target=True)
+    pairings = 0
+    violations = []
+    for i, j in itertools.combinations(range(len(basis)), 2):
+        a, b = basis[i].coefficients, basis[j].coefficients
+        br = reference_bracket(basis[i], basis[j]).coefficients
+        for g in eqs.basis:
+            pairings += 1
+            left = 0
+            for (h, k), c in eqs.equations[g].terms.items():
+                left += substitute(c, subs) * (a.get(h, 0) * b.get(k, 0)
+                                               - a.get(k, 0) * b.get(h, 0))
+            right = -br.get(g, 0)
+            if left != right:
+                violations.append((g, i, j, left, right))
+    return DualityReport(pairings, violations)
 
 
 def structure_constants(eqs: StructureEquationSet,

@@ -27,7 +27,14 @@ from mcforge.render import coeff_text
 from mcforge.structure import pseudo_group_structure
 
 from conftest import bundled
-from helpers import expand_in_basis, factorial_weight, jacobi_by_triples, structure_constants
+from helpers import (
+    duality_by_pairs,
+    expand_in_basis,
+    factorial_weight,
+    jacobi_by_triples,
+    reference_bracket,
+    structure_constants,
+)
 
 
 def mi(*entries):
@@ -128,14 +135,51 @@ def test_bracket_antisymmetric_bilinear():
 
 
 def test_jet_coefficients_are_exact_rationals(essential_system):
+    """A jet holds a constant as the kernel does: an int when it is integral."""
     x = essential_system.table.expr("x")
     key = (0, mi())
     equal = [JetVectorField({key: value}, 1)
              for value in (2, Fraction(2), Fraction(4, 2), sp.Integer(2), 2 * x / x)]
     assert all(v == equal[0] for v in equal)
-    assert all(v.coefficients == {key: Fraction(2)} for v in equal)
-    assert all(type(c) is Fraction for c in equal[0].coefficients.values())
+    assert all(v.coefficients == {key: 2} for v in equal)
+    assert all(type(c) is int for v in equal for c in v.coefficients.values())
     assert equal[0].coefficients.get(McGenerator(*key), 0) == 2
+    half = JetVectorField({key: Fraction(1, 2)}, 1)
+    assert type(half.coefficients[key]) is Fraction and half.coefficients[key] == Fraction(1, 2)
+    scaled = half.scale(4)
+    assert scaled == equal[0] and type(scaled.coefficients[key]) is int
+
+
+@st.composite
+def jet_pairs(draw):
+    """Two sparse jets over m = 1..3 coordinates at one truncation 0..4, with
+    int and Fraction coefficients and terms up to one order above the truncation."""
+    m = draw(st.integers(1, 3), label="m")
+    N = draw(st.integers(0, 4), label="truncation")
+    keys = st.builds(McGenerator, st.integers(0, m - 1),
+                     st.lists(st.integers(0, m - 1), max_size=N + 1).map(MultiIndex))
+    values = st.one_of(st.integers(-9, 9),
+                       st.fractions(min_value=-9, max_value=9, max_denominator=6))
+    return tuple(JetVectorField(draw(st.dictionaries(keys, values, max_size=8)), N)
+                 for _ in range(2))
+
+
+def _follows_the_constant_rule(jet):
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in jet.coefficients.values())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(jet_pairs())
+def test_bracket_matches_term_by_term_reference(pair):
+    v, w = pair
+    got, want = bracket(v, w), reference_bracket(v, w)
+    assert got == want and got.truncation == want.truncation == v.truncation - 1
+    assert _follows_the_constant_rule(got)
+    longer = JetVectorField(w.coefficients, w.truncation + 1)
+    for args in ((v, longer), (longer, v)):
+        with pytest.raises(TruncationMismatchError):
+            bracket(*args)
 
 
 def test_jet_rejects_non_constant_coefficients(essential_system):
@@ -199,22 +243,65 @@ def test_jacobi_matches_triple_oracle_on_a_corrupt_bracket(monkeypatch):
     assert _report_key(report) == _report_key(jacobi_by_triples(basis))
 
 
-def test_jacobi_bracket_count(monkeypatch):
+def _spy(monkeypatch, name):
+    """Record the arguments of every call of ``jetalg.<name>``."""
     calls = []
+    original = getattr(jetalg, name)
 
-    def spy(v, w):
-        calls.append(1)
-        return bracket(v, w)
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(jetalg, "bracket", spy)
+    monkeypatch.setattr(jetalg, name, spy)
+    return calls
+
+
+def test_jacobi_bracket_count(monkeypatch):
+    """Inner brackets once per ordered pair, outer ones three per triple, and each
+    monomial bracket once per call."""
+    calls = _spy(monkeypatch, "_bracket_into")
+    monomials = _spy(monkeypatch, "bracket_monomial")
     sys = DeterminingSystem.empty(["x", "y"])
     basis = solution_basis(sys, default_point(sys), 3)
     n = len(basis)
     assert jacobi_check(basis).triples == math.comb(n, 3)
     assert 0 < len(calls) <= n * (n - 1) + 3 * math.comb(n, 3)
+    assert monomials and len(monomials) == len(set(monomials))
     calls.clear()
     assert jacobi_check(basis[:2]).triples == 0
     assert not calls
+
+
+@pytest.mark.parametrize("source", [None, "cartan_essential.dsys"])
+def test_duality_computes_each_monomial_bracket_once(monkeypatch, source):
+    sys = (DeterminingSystem.empty(["x", "y"]) if source is None
+           else parse_system(bundled(source)))
+    point = default_point(sys)
+    eqs = pseudo_group_structure(sys, 1)
+    basis = solution_basis(sys, point, 2)
+    monomials = _spy(monkeypatch, "bracket_monomial")
+    assert check_duality(eqs, basis, point).ok
+    assert monomials and len(monomials) == len(set(monomials))
+
+
+def test_no_bracket_table_outlives_a_call(monkeypatch):
+    """A corrupt monomial bracket after an honest check is seen by the next check."""
+    sys = DeterminingSystem.empty(["x", "y"])
+    point = default_point(sys)
+    eqs = pseudo_group_structure(sys, 2)
+    basis = solution_basis(sys, point, 3)
+    assert jacobi_check(basis).ok and check_duality(eqs, basis, point).ok
+    honest = bracket_monomial
+
+    def corrupt(a, A, b, B):
+        out = honest(a, A, b, B)
+        if (a, A, b, B) == (0, mi(0), 1, mi(0, 1)):
+            out[mc(1, 0)] = out.get(mc(1, 0), 0) + 1
+        return out
+
+    monkeypatch.setattr(jetalg, "bracket_monomial", corrupt)
+    assert jacobi_check(basis).violations
+    assert check_duality(eqs, basis, point).violations
 
 
 def test_jacobi_mixed_truncations_raise():
@@ -353,8 +440,9 @@ def _mutation_case(name):
     """(system, order-n structure equations, basis truncation n + 1)."""
     if name == "essential_o1":
         system, order = parse_system(bundled("cartan_essential.dsys")), 1
-    else:
-        system, order = DeterminingSystem.empty(["x", "y"]), 2
+    else:  # diffeo_m<m>_o<order>
+        _, m, o = name.split("_")
+        system, order = DeterminingSystem.empty(["x", "y"][:int(m[1:])]), int(o[1:])
     return system, pseudo_group_structure(system, order), order + 1
 
 
@@ -400,6 +488,42 @@ def test_duality_catches_negated_term_essential(data):
 def test_duality_catches_negated_term_diffeo(data):
     # integer coefficients and monomial jets: the point changes nothing here
     _assert_every_negated_term_caught("diffeo_m2_o2", data)
+
+
+def _assert_checks_match_reference(name, point):
+    """check_duality and jacobi_check give the reports of the reference path,
+    violations and their order included, also on one tampered structure equation."""
+    system, eqs, N = _mutation_case(name)
+    basis = solution_basis(system, point, N)
+    report = check_duality(eqs, basis, point)
+    assert report.ok and report == duality_by_pairs(eqs, basis, point)
+    at_target = {t: point[c] for c, t in zip(system.coords, system.targets)}
+    g, (h, k), c = next((g, hk, c) for g in eqs.basis
+                        for hk, c in eqs.equations[g].terms.items()
+                        if substitute(c, at_target) and hk[1].index.order <= N)
+    terms = dict(eqs.equations[g].terms)
+    terms[(h, k)] = 2 * c
+    bad = dataclasses.replace(eqs, equations={**eqs.equations, g: TwoForm(terms)})
+    tampered = check_duality(bad, basis, point)
+    assert tampered.violations and tampered == duality_by_pairs(bad, basis, point)
+    assert _report_key(jacobi_check(basis)) == _report_key(jacobi_by_triples(basis))
+
+
+@pytest.mark.parametrize("name", ["diffeo_m1_o2", "diffeo_m2_o2"])
+def test_checks_match_reference_path_diffeo(name):
+    system = _mutation_case(name)[0]
+    _assert_checks_match_reference(name, default_point(system))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.data())
+def test_checks_match_reference_path_essential(data):
+    system = _mutation_case("essential_o1")[0]
+    point = {c: data.draw(rationals, label=c) for c in system.coords}
+    try:
+        _assert_checks_match_reference("essential_o1", point)
+    except DegeneratePointError:
+        reject()
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,11 @@ from mcforge.kernel import (
     ZeroDivisionFunctionError,
     diff,
     echelon,
-    exact,
     free_names,
     substitute,
 )
 
-from helpers import parse_expr
+from helpers import exact, parse_expr
 
 
 @pytest.fixture

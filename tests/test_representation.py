@@ -1,11 +1,12 @@
 """Every coefficient of every result is held as ``kernel`` says a value is held.
 
 A constant is a plain ``int`` or ``Fraction`` and a ``ScalarExpr`` is never
-constant; no path produces a float.  The walk covers the prolonged rows, the
-solved and lifted relations, the structure equations, the d^2 residues, the
-genericity ledger, the jets and the brackets of the bundled systems, of the
-diffeomorphisms of R^1..R^3 and of the conformal input, and every value a
-coframe check builds.
+constant; no path produces a float.  A jet holds only constants, each an
+``int`` when it is integral.  The walk covers the prolonged rows, the solved
+and lifted relations, the structure equations, the d^2 residues, the
+genericity ledger, the solution jets, their brackets and the totals of Jacobi
+violations of the bundled systems, of the diffeomorphisms of R^1..R^3 and of
+the conformal input, and every value a coframe check builds.
 """
 
 from fractions import Fraction
@@ -53,6 +54,12 @@ class Walk:
         for c in values:
             self.value(c, where)
 
+    def jet(self, jet, where):
+        for key, c in jet.coefficients.items():
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), \
+                (where, key, type(c), c)
+        self.terms(jet.coefficients, where)
+
 
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_every_pipeline_coefficient_is_plain_or_a_function(name):
@@ -81,13 +88,36 @@ def test_every_pipeline_coefficient_is_plain_or_a_function(name):
     basis = jetalg.solution_basis(system, point, n + 1)
     jets = basis + [jetalg.bracket(v, w) for v in basis[:4] for w in basis[:4]]
     for jet in jets:
-        walk.terms(jet.coefficients, "jet")
+        walk.jet(jet, "jet")
         walk.values([jet.coefficients.get(g, 0) for g in eqs.basis], "pairing")
     report = jetalg.check_duality(eqs, basis, point)
     assert report.ok
+    jacobi = jetalg.jacobi_check(basis[:6])
+    assert jacobi.ok
     assert walk.seen["constant"] > 0
     if name.startswith("diffeo") or name == "conformal_3_5.dsys":
         assert walk.seen["function"] == 0  # constant coefficients only
+
+
+@pytest.mark.parametrize("name", ["cartan_essential.dsys", "diffeo2"])
+def test_jacobi_violation_totals_follow_the_constant_rule(name, monkeypatch):
+    """Doubling the brackets of two order-1 monomials breaks Jacobi; the totals it
+    leaves are jets like any other."""
+    walk = Walk()
+    system = _system(name)
+    basis = jetalg.solution_basis(system, {c: Fraction(3, 2) for c in system.coords}, 3)
+    honest = jetalg.bracket_monomial
+
+    def corrupt(a, A, b, B):
+        out = honest(a, A, b, B)
+        return {g: 2 * n for g, n in out.items()} if len(A) == len(B) == 1 else out
+
+    monkeypatch.setattr(jetalg, "bracket_monomial", corrupt)
+    violations = jetalg.jacobi_check(basis).violations
+    assert violations
+    for i, j, k, total in violations:
+        walk.jet(total, ("Jacobi violation", i, j, k))
+    assert walk.seen["constant"] > 0
 
 
 def test_every_coframe_coefficient_is_plain_or_a_function():

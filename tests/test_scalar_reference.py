@@ -24,7 +24,6 @@ from mcforge.kernel import (
     as_expr,
     as_fraction,
     diff,
-    exact,
     free_names,
     is_constant,
     power,
@@ -33,7 +32,7 @@ from mcforge.kernel import (
 )
 from mcforge.render import coeff_latex, coeff_text
 
-from helpers import reference_ledger
+from helpers import exact, reference_ledger
 
 NAMES = ["X", "x", "eta", "T"]
 TABLE = SymbolTable()
