@@ -7,9 +7,8 @@ against the dual Lie brackets of infinitesimal-generator jets.
 
 from .detsys import (
     DeterminingSystem,
-    LiftedRelations,
     LinearPdeEquation,
-    SolvedSourceRelations,
+    SolvedRelations,
     lift,
     parse_system,
     prolong,
@@ -41,8 +40,8 @@ from .structure import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DeterminingSystem", "LiftedRelations", "LinearPdeEquation",
-    "SolvedSourceRelations", "lift", "parse_system", "prolong", "solve_to_order",
+    "DeterminingSystem", "LinearPdeEquation", "SolvedRelations", "lift",
+    "parse_system", "prolong", "solve_to_order",
     "McGenerator", "OneForm", "TwoForm", "ThreeForm", "JetVectorField",
     "bracket", "check_duality", "jacobi_check",
     "solution_basis", "DegeneratePointError", "McforgeError", "ParseError",

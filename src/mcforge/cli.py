@@ -19,7 +19,7 @@ from itertools import combinations
 
 from . import coordforms, detsys, jetalg, render, structure
 from .exterior import MissingRuleError
-from .kernel import SCALAR, ExprParser, McforgeError, ParseError, SymbolTable, as_fraction
+from .kernel import SCALAR, ExprParser, McforgeError, ParseError, SymbolTable, as_constant
 
 
 def _diag(message: str) -> str:
@@ -63,7 +63,7 @@ def _parse_point(text: str | None, system: detsys.DeterminingSystem) -> dict:
             parsed = ExprParser(SymbolTable()).parse(value)
         except ParseError as exc:
             raise McforgeError(f"bad rational value {value!r} in --point: {exc}") from None
-        point[name] = as_fraction(parsed.get(SCALAR, 0))
+        point[name] = as_constant(parsed.get(SCALAR, 0))
     return point
 
 

@@ -17,7 +17,7 @@ from .kernel import (
     ParseError,
     SymbolTable,
     diff,
-    echelon,
+    eliminate_forward,
     split_names,
 )
 
@@ -58,9 +58,8 @@ def exterior_derivative(omega: CoordOneForm, session: CoframeSession) -> CoordTw
 
 def coframe_rank_ok(session: CoframeSession) -> bool:
     """Linear independence of the coframe over the rational-function field."""
-    _, redundant = echelon((form.terms for form in session.forms.values()),
-                           lambda name: -session.symbol_order(name))
-    return not redundant
+    return not eliminate_forward({}, (form.terms for form in session.forms.values()),
+                                 lambda name: -session.symbol_order(name))
 
 
 @dataclass
@@ -150,6 +149,8 @@ def parse_coframe(text: str) -> CoframeSession:
             for name in split_names(line, lineno):
                 if name in symbols:
                     raise ParseError(f"symbol {name!r} declared twice", lineno, 1)
+                if name in forms:
+                    raise ParseError(f"symbol {name!r} already names a form", lineno, 1)
                 table.declare(name)
                 symbols.append(name)
         elif line.startswith("form "):

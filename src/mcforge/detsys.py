@@ -10,7 +10,7 @@ become the linear relations among the restricted forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, islice
 from typing import Optional
 
@@ -70,8 +70,8 @@ def _key_text(key) -> str:
 
 
 class _Prolongation:
-    """Rows by jet order, the last order's front, the forward elimination and its pivot
-    count after each order; it holds no system, so it makes no cycle for the GC.
+    """Rows by jet order, the last order's front, the forward elimination, and its pivot
+    count and ledger length after each order; it holds no system, so no GC cycle.
 
     ``reduced`` maps (g, k) to the reduced structure equation of generator g,
     where k is the number of solved pivots of order <= |g| + 1
@@ -79,7 +79,7 @@ class _Prolongation:
     """
 
     def __init__(self):
-        self.rows, self.front, self.forward, self.sizes = [], [], {}, []
+        self.rows, self.front, self.forward, self.sizes, self.ledger = [], [], {}, [], []
         self.reduced = {}
 
 
@@ -310,16 +310,13 @@ def _rows_to(sys: DeterminingSystem, n: int) -> list[list[LinearPdeEquation]]:
     return state.rows[:n + 1]
 
 
-def _with_equations(sys: DeterminingSystem, rows) -> DeterminingSystem:
-    return DeterminingSystem(sys.table, sys.coords, sys.targets, sys.fields, list(rows))
-
-
 def prolong(sys: DeterminingSystem, n: int) -> DeterminingSystem:
     """The system prolonged to jet order n: every D^A E of order <= n, one per normal key."""
     if n < sys.order:
         raise InvalidOrderError(
             f"prolongation order {n} below system order {sys.order}")
-    return _with_equations(sys, chain.from_iterable(_rows_to(sys, n)))
+    return DeterminingSystem(sys.table, sys.coords, sys.targets, sys.fields,
+                             list(chain.from_iterable(_rows_to(sys, n))))
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +325,17 @@ def prolong(sys: DeterminingSystem, n: int) -> DeterminingSystem:
 
 
 @dataclass
-class SolvedSourceRelations:
-    """Triangular solved form: each dependent jet -> combination of parametric jets."""
+class SolvedRelations:
+    """Triangular solved form: each dependent jet -> combination of parametric jets.
+
+    A solve gives it in source coordinates and ``lift`` in target ones; every
+    later stage reads it.  ``assumptions`` are the ledger entries the solve
+    recorded.
+    """
 
     system: DeterminingSystem
     order: int
-    solved: dict[McGenerator, dict]
+    solved: dict[McGenerator, OneForm]
     parametric: list[McGenerator]
     assumptions: list
     stable: bool = True
@@ -351,23 +353,24 @@ def _parametric(dim: int, order: int, solved) -> list[McGenerator]:
 
 
 def reduce_system(sys: DeterminingSystem,
-                  order: Optional[int] = None) -> SolvedSourceRelations:
+                  order: Optional[int] = None) -> SolvedRelations:
     """Gaussian elimination, eliminating the highest-ordered jets first.
 
-    The assumptions reported are the session's genericity ledger: input
-    coefficient denominators and every non-constant pivot.  ``order`` bounds
-    the parametric enumeration; it defaults to the highest equation order but
-    must be given explicitly for systems with few or no equations (the
-    diffeomorphism pseudo-group has none at all).
+    The assumptions reported are the table's whole ledger, on a fresh parse
+    what these rows recorded: input divisors and every non-constant pivot.
+    ``order`` bounds the parametric enumeration; it defaults to the highest
+    equation order but must be given explicitly for systems with few or no
+    equations (the diffeomorphism pseudo-group has none at all).
     """
     solved, _ = echelon((eq.terms for eq in sys.equations), McGenerator.sort_key)
     order = sys.order if order is None else max(order, sys.order)
-    return SolvedSourceRelations(sys, order, solved, _parametric(sys.dim, order, solved),
-                                 list(sys.table.assumed_nonzero))
+    return SolvedRelations(sys, order, {p: OneForm(rhs) for p, rhs in solved.items()},
+                           _parametric(sys.dim, order, solved),
+                           list(sys.table.assumed_nonzero))
 
 
 def solve_to_order(sys: DeterminingSystem, order: int,
-                   cap: Optional[int] = None) -> SolvedSourceRelations:
+                   cap: Optional[int] = None) -> SolvedRelations:
     """Prolong-and-solve until the solved shape at the working order stabilizes.
 
     ``order`` is the working order: the result holds the relations and
@@ -386,15 +389,19 @@ def solve_to_order(sys: DeterminingSystem, order: int,
     forward elimination, however deep an earlier solve went.  A step changes
     the solved shape exactly when it adds a pivot of order <= ``order``; the
     loop stops on that count and back-substitutes once.  The result equals
-    prolonging and reducing from scratch at every order, ledger included.
+    prolonging and reducing a fresh parse from scratch at every order: its
+    ledger is the prefix of the table's that was recorded up to the last order
+    k compared, whatever deeper orders earlier solves recorded.
     """
     start = max(order, sys.order)
     cap = max(cap if cap is not None else order + 2, start + 1)
     state = sys._prolongation
+    ledger = sys.table.assumed_nonzero
     for k in range(start + 1, cap + 1):
         for batch in _rows_to(sys, k)[len(state.sizes):]:
             eliminate_forward(state.forward, (eq.terms for eq in batch), McGenerator.sort_key)
             state.sizes.append(len(state.forward))
+            state.ledger.append(len(ledger))
         added = islice(state.forward, state.sizes[k - 1], state.sizes[k])
         stable = all(p.index.order > order for p in added)
         if stable:
@@ -402,9 +409,9 @@ def solve_to_order(sys: DeterminingSystem, order: int,
     forward = dict(islice(state.forward.items(), state.sizes[k]))
     solved = back_substitute(forward, McGenerator.sort_key,
                              [p for p in forward if p.index.order <= order])
-    return SolvedSourceRelations(_with_equations(sys, chain.from_iterable(state.rows[:k + 1])),
-                                 order, solved, _parametric(sys.dim, order, forward),
-                                 list(sys.table.assumed_nonzero), stable)
+    return SolvedRelations(sys, order, {p: OneForm(rhs) for p, rhs in solved.items()},
+                           _parametric(sys.dim, order, forward),
+                           ledger[:state.ledger[k]], stable)
 
 
 # ---------------------------------------------------------------------------
@@ -412,25 +419,10 @@ def solve_to_order(sys: DeterminingSystem, order: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LiftedRelations:
-    """Solved linear relations among Maurer-Cartan generators at a target fiber."""
-
-    system: DeterminingSystem
-    order: int
-    solved: dict[McGenerator, OneForm]
-    parametric: list[McGenerator]
-    assumptions: list
-    stable: bool = True
-
-
-def lift(solved: SolvedSourceRelations) -> LiftedRelations:
+def lift(rel: SolvedRelations) -> SolvedRelations:
     """Replace z by Z in every coefficient; a jet's key already names its generator."""
-    sys = solved.system
-    rename = dict(zip(sys.coords, sys.targets))
-
-    lifted = {p: OneForm({j: substitute(v, rename) for j, v in rhs.items()})
-              for p, rhs in solved.solved.items()}
-    assumptions = [substitute(a, rename) for a in solved.assumptions]
-    return LiftedRelations(sys, solved.order, lifted, list(solved.parametric),
-                           assumptions, solved.stable)
+    rename = dict(zip(rel.system.coords, rel.system.targets))
+    return replace(
+        rel, solved={p: OneForm({j: substitute(v, rename) for j, v in rhs.terms.items()})
+                     for p, rhs in rel.solved.items()},
+        assumptions=[substitute(a, rename) for a in rel.assumptions])

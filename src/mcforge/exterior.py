@@ -85,9 +85,7 @@ class _FormBase:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        if self.terms.keys() != other.terms.keys():
-            return (self - other).is_zero
-        return all(other.terms[k] == v for k, v in self.terms.items())
+        return self.terms == other.terms
 
     def __hash__(self):
         raise TypeError(f"{type(self).__name__} is unhashable")

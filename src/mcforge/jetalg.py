@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Optional
 
 from .detsys import DeterminingSystem, solve_to_order
 from .exterior import McGenerator
-from .kernel import DegeneratePointError, McforgeError, as_constant, as_fraction, substitute
+from .kernel import DegeneratePointError, McforgeError, as_constant, substitute
 from .multiindex import MultiIndex, delete_one, multinomial
 from .structure import StructureEquationSet
 
@@ -144,13 +143,13 @@ def _point_map(sys: DeterminingSystem, point: Mapping[str, object], target: bool
     for a, coord in enumerate(sys.coords):
         if coord not in point:
             raise McforgeError(f"missing coordinate {coord!r} in evaluation point")
-        out[names[a]] = as_fraction(point[coord])
+        out[names[a]] = as_constant(point[coord])
     return out
 
 
-def default_point(sys: DeterminingSystem) -> dict[str, Fraction]:
+def default_point(sys: DeterminingSystem) -> dict[str, int]:
     """All source coordinates set to 1, dodging the x = 0 degeneracies."""
-    return {c: Fraction(1) for c in sys.coords}
+    return {c: 1 for c in sys.coords}
 
 
 def solution_basis(sys: DeterminingSystem, point: Mapping[str, object],
@@ -175,7 +174,7 @@ def solution_basis(sys: DeterminingSystem, point: Mapping[str, object],
             continue
         coeffs = {p: 1}
         for d, rhs in dependents:
-            c = rhs.get(p)
+            c = rhs.terms.get(p)
             if c is not None:
                 coeffs[d] = as_constant(substitute(c, subs))
         basis.append(JetVectorField(coeffs, N))

@@ -18,7 +18,7 @@ This module is the only one that knows how a value is held.  Other modules
 combine values with ``+ - *`` and call the functions below for the rest:
 ``quotient`` and ``power`` (a quotient of two constants is a ``Fraction`` or
 an ``int``, never a float), ``diff``, ``substitute``, ``degree``,
-``free_names``, ``as_fraction``, ``as_constant`` and ``as_expr``.
+``free_names``, ``as_constant`` and ``as_expr``.
 
 No arithmetic goes through sympy expressions or sympy's simplifier, and the
 genericity ledger is normalized in the field too.  A sympy ``Expr`` appears
@@ -87,8 +87,9 @@ class SymbolTable:
     The genericity ledger (``assumed_nonzero``) collects every non-constant
     function the session assumes nonzero.  It has two writers: ``ExprParser``
     records each divisor of an input, and ``eliminate_forward`` each pivot.
-    Arithmetic, division included, records nothing.  All reports surface the
-    ledger so standing assumptions like x != 0 are explicit.
+    Arithmetic, division included, records nothing.  The ledger is the
+    session's; a solve reports the prefix of it that its own rows recorded, so
+    the assumptions like x != 0 that a result stands on are explicit.
     """
 
     def __init__(self):
@@ -349,19 +350,14 @@ def is_constant(c) -> bool:
     return type(c) is not ScalarExpr
 
 
-def as_fraction(c) -> Fraction:
-    """A constant as a Fraction; anything else is refused with McforgeError."""
-    if isinstance(c, numbers.Rational):
-        return Fraction(c)
-    raise McforgeError(f"{c} is not a rational constant")
-
-
 def as_constant(c):
     """A constant as the kernel holds it: an ``int`` when it is integral, else a
     ``Fraction``; anything else is refused with McforgeError."""
-    if type(c) is Fraction:
-        return _constant(c)
-    return c if type(c) is int else _constant(as_fraction(c))
+    if type(c) is int:
+        return c
+    if isinstance(c, numbers.Rational):
+        return _constant(Fraction(c))
+    raise McforgeError(f"{c} is not a rational constant")
 
 
 def as_expr(c) -> sp.Expr:

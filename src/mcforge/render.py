@@ -17,10 +17,10 @@ from typing import Callable, NamedTuple
 import sympy as sp
 
 from .coordforms import CoframeReport, CoframeSession
-from .detsys import DeterminingSystem, LiftedRelations
+from .detsys import DeterminingSystem, SolvedRelations
 from .exterior import McGenerator, _gens
 from .jetalg import DualityReport, JetVectorField
-from .kernel import McforgeError, as_expr, as_fraction, integers, is_constant
+from .kernel import McforgeError, as_expr, integers, is_constant
 from .multiindex import render_index
 from .structure import D2Report, StructureEquationSet
 
@@ -52,11 +52,10 @@ def coeff_latex(c) -> str:
     _check_printable(c)
     if not is_constant(c):
         return sp.latex(as_expr(c), order="lex")
-    q = as_fraction(c)
-    if q.denominator == 1:
-        return str(q.numerator)
-    sign = "- " if q < 0 else ""
-    return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
+    if c.denominator == 1:
+        return str(c.numerator)
+    sign = "- " if c < 0 else ""
+    return f"{sign}\\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
 
 
 class Notation(NamedTuple):
@@ -134,18 +133,18 @@ def _form(form, coords, targets, notation: Notation) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _report(result, title: list[str], label: str, gens, rows, notation: Notation) -> str:
-    """One ``lhs = rhs`` line per row: in LaTeX one aligned block; in text below
-    the title, the assumptions, any stability warning and the listed ``gens``."""
+def _report(rel, title: list[str], label: str, gens, rows, notation: Notation) -> str:
+    """One ``lhs = rhs`` line per row: in LaTeX one aligned block; in text below the
+    title, ``rel``'s assumptions and any stability warning, and the listed ``gens``."""
     lines = [f"{lhs}{notation.equals}{rhs}{notation.eol}" for lhs, rhs in rows]
     if notation.aligned:
         return "\n".join(["\\begin{aligned}", *lines, "\\end{aligned}"]) + "\n"
-    sys = result.system
+    sys = rel.system
     header = list(title)
-    if result.assumptions:
-        listed = ", ".join(f"{coeff_text(a)} != 0" for a in result.assumptions)
+    if rel.assumptions:
+        listed = ", ".join(f"{coeff_text(a)} != 0" for a in rel.assumptions)
         header.append(f"assuming: {listed}")
-    if not result.stable:
+    if not rel.stable:
         header.append("warning: solved shape still changing at the prolongation cap")
     header.append(f"{label}: " + ", ".join(gen_text(g, sys.coords, sys.targets) for g in gens))
     return "\n".join(header + lines) + "\n"
@@ -158,10 +157,10 @@ def render_structure(eqs: StructureEquationSet, fmt: str) -> str:
     rows = [(f"d{_gen(g, sys.coords, sys.targets, notation)}",
              _form(eqs.equations[g], sys.coords, sys.targets, notation))
             for g in eqs.basis]
-    title = [f"# structure equations, order {eqs.order}, dim {eqs.dim}",
+    title = [f"# structure equations, order {eqs.order}, dim {sys.dim}",
              "# order-0 horizontal forms satisfy the same equations "
              "as the order-0 generators (sigma = -mu on the fiber)"]
-    return _report(eqs, title, "basis", eqs.basis, rows, notation)
+    return _report(eqs.relations, title, "basis", eqs.basis, rows, notation)
 
 
 def render_structure_text(eqs: StructureEquationSet) -> str:
@@ -175,10 +174,10 @@ def render_structure_latex(eqs: StructureEquationSet) -> str:
 def structure_json_obj(eqs: StructureEquationSet) -> dict:
     sys = eqs.system
     return {
-        "dim": eqs.dim,
+        "dim": sys.dim,
         "order": eqs.order,
         "basis": [gen_text(g, sys.coords, sys.targets) for g in eqs.basis],
-        "assumptions": [coeff_text(a) for a in eqs.assumptions],
+        "assumptions": [coeff_text(a) for a in eqs.relations.assumptions],
         "equations": [
             {"lhs": gen_text(g, sys.coords, sys.targets),
              "rhs": [{"pair": [gen_text(h, sys.coords, sys.targets) for h in pair],
@@ -198,7 +197,7 @@ def render_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def render_lift(rel: LiftedRelations, fmt: str) -> str:
+def render_lift(rel: SolvedRelations, fmt: str) -> str:
     if fmt == "json":
         return render_json(lift_json_obj(rel))
     notation, sys = NOTATIONS[fmt], rel.system
@@ -209,11 +208,11 @@ def render_lift(rel: LiftedRelations, fmt: str) -> str:
     return _report(rel, title, "parametric", rel.parametric, rows, notation)
 
 
-def render_lift_text(rel: LiftedRelations) -> str:
+def render_lift_text(rel: SolvedRelations) -> str:
     return render_lift(rel, "text")
 
 
-def lift_json_obj(rel: LiftedRelations) -> dict:
+def lift_json_obj(rel: SolvedRelations) -> dict:
     sys = rel.system
     return {
         "order": rel.order,

@@ -9,9 +9,9 @@ equations one order higher to verify integrability.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .detsys import DeterminingSystem, LiftedRelations, lift, solve_to_order
+from .detsys import DeterminingSystem, SolvedRelations, lift, solve_to_order
 from .exterior import (
     McGenerator,
     ThreeForm,
@@ -45,17 +45,16 @@ def diffeo_structure_equation(a: int, C: MultiIndex, m: int) -> TwoForm:
 
 @dataclass
 class StructureEquationSet:
-    """Structure equations d(basis generator) = TwoForm, in basis order."""
+    """Structure equations d(basis generator) = TwoForm, in basis order, and the
+    lifted relations they are reduced modulo, which hold their assumptions and
+    stability."""
 
     system: DeterminingSystem
-    dim: int
     order: int
     basis: list[McGenerator]
     equations: dict[McGenerator, TwoForm]
-    relations: LiftedRelations
-    assumptions: list
-    coefficient_dependence: dict[McGenerator, list[str]] = field(default_factory=dict)
-    stable: bool = True
+    relations: SolvedRelations
+    coefficient_dependence: dict[McGenerator, list[str]]
 
 
 def pseudo_group_structure(sys: DeterminingSystem, n: int,
@@ -65,8 +64,8 @@ def pseudo_group_structure(sys: DeterminingSystem, n: int,
     The determining system is prolonged and solved to order n+1 (d of an
     order-n form involves order-(n+1) generators), lifted, and the
     diffeomorphism equations are reduced modulo the lifted relations.
-    ``stable``, and the warning the text output prints when it is false,
-    concern that working order n+1, not the order n of the returned basis:
+    ``relations.stable``, and the warning the text output prints when it is
+    false, concern that working order n+1, not the order n of the returned basis:
     Janet's example at n = 4, cap 7 has its final order-4 basis while its
     order-5 relations still change at the cap.
 
@@ -82,13 +81,12 @@ def pseudo_group_structure(sys: DeterminingSystem, n: int,
     if n < 0:
         raise InvalidOrderError("order must be >= 0")
     working = n + 1
-    solved = solve_to_order(sys, working, cap=cap)
-    relations = lift(solved)
+    relations = lift(solve_to_order(sys, working, cap=cap))
     basis = [g for g in relations.parametric if g.index.order <= n]
 
     # pivots[q]: the number of solved pivots of order <= q
     pivots = [0] * (working + 1)
-    for p in solved.solved:
+    for p in relations.solved:
         pivots[p.index.order] += 1
     pivots = list(itertools.accumulate(pivots))
 
@@ -113,10 +111,7 @@ def pseudo_group_structure(sys: DeterminingSystem, n: int,
         equations[g] = TwoForm(reduced.terms)
         dependence[g] = sorted(used)
 
-    return StructureEquationSet(
-        system=sys, dim=sys.dim, order=n, basis=basis, equations=equations,
-        relations=relations, assumptions=list(relations.assumptions),
-        coefficient_dependence=dependence, stable=relations.stable)
+    return StructureEquationSet(sys, n, basis, equations, relations, dependence)
 
 
 @dataclass

@@ -268,7 +268,7 @@ def expand_in_basis(v: JetVectorField, sol_parametric: list) -> dict:
 
 def shape_key(sol) -> frozenset:
     """A solve's relations as a set: two solves with the same set have one solved shape."""
-    return frozenset((p, frozenset(rhs.items())) for p, rhs in sol.solved.items())
+    return frozenset((p, frozenset(rhs.terms.items())) for p, rhs in sol.solved.items())
 
 
 def wedge_one_two(alpha: OneForm, omega: TwoForm) -> ThreeForm:

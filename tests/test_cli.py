@@ -684,6 +684,16 @@ def test_coframe_with_split_symbols_verifies_as_one_line(capsys):
         assert split == one_line and split[0] == 0
 
 
+@pytest.mark.parametrize("name", ["symbol_named_like_form.coframe",
+                                  "symbol_differential_clash.coframe"])
+def test_symbol_named_like_an_earlier_form_exits_2(capsys, name):
+    # each file declares on line 5 a symbol that names the form of line 4
+    code, out, err = run(capsys, "verify-coframe", str(INPUTS / name))
+    form = "y" if name == "symbol_named_like_form.coframe" else "w1"
+    assert (code, out) == (2, "")
+    assert err == f"error: symbol {form!r} already names a form (line 5, column 1)\n"
+
+
 def test_ambiguous_jet_suffix_exits_2(capsys):
     # prolonged, the jet (x, x, xx) of this input would print as xi_xxxx,
     # which reads back as other jets

@@ -1,6 +1,7 @@
 import time
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from mcforge.detsys import (
     DeterminingSystem,
     NonlinearInputError,
-    SolvedSourceRelations,
+    SolvedRelations,
     lift,
     parse_system,
     prolong,
@@ -188,19 +189,19 @@ def test_solve_essential_order1(essential_system):
     param = set(sol.parametric)
     assert param == {js(1), js(2), js(1, 0), js(1, 1), js(2, 0)}
     # zeta_z = x * eta_y, solved for the highest jet
-    assert sol.solved[js(2, 2)] == {js(1, 1): x}
-    assert sol.solved[js(2, 1)] == {}
-    assert sol.solved[js(1, 2)] == {}
-    assert sol.solved[js(0)] == {}
+    assert sol.solved[js(2, 2)].terms == {js(1, 1): x}
+    assert sol.solved[js(2, 1)].terms == {}
+    assert sol.solved[js(1, 2)].terms == {}
+    assert sol.solved[js(0)].terms == {}
 
 
 def test_solve_essential_finds_late_integrability(essential_system):
     # eta_yy = 0 only appears after cross-differentiating at order 2
     sol = solve_to_order(essential_system, 2)
-    assert sol.solved[js(1, 1, 1)] == {}
+    assert sol.solved[js(1, 1, 1)].terms == {}
     x = essential_system.table.expr("x")
-    assert sol.solved[js(2, 0, 2)] == {js(1, 1): 1,
-                                       js(1, 0, 1): x}
+    assert sol.solved[js(2, 0, 2)].terms == {js(1, 1): 1,
+                                             js(1, 0, 1): x}
 
 
 def test_solve_translation_finite_type(translation_system):
@@ -209,16 +210,16 @@ def test_solve_translation_finite_type(translation_system):
     assert sol.parametric == [js(1)]
     x = translation_system.table.expr("x")
     one = 1
-    assert sol.solved[js(1, 0)] == {js(1): one / x}
-    assert sol.solved[js(1, 1)] == {}
-    assert sol.solved[js(1, 0, 0)] == {}
+    assert sol.solved[js(1, 0)].terms == {js(1): one / x}
+    assert sol.solved[js(1, 1)].terms == {}
+    assert sol.solved[js(1, 0, 0)].terms == {}
     assert any(a == x for a in sol.assumptions)
 
 
 def test_solved_form_is_triangular(essential_system):
     sol = solve_to_order(essential_system, 2)
     for rhs in sol.solved.values():
-        assert not any(j in sol.solved for j in rhs)
+        assert not any(j in sol.solved for j in rhs.terms)
 
 
 def test_solve_is_stable_under_extra_prolongation(essential_system):
@@ -234,8 +235,8 @@ def test_parametric_jets_satisfy_system(essential_system):
     for p in sol.parametric:
         values = {p: 1}
         for d, rhs in sol.solved.items():
-            if p in rhs:
-                values[d] = rhs[p]
+            if p in rhs.terms:
+                values[d] = rhs.terms[p]
         for eq in prolonged.equations:
             total = 0
             for j, c in eq.terms.items():
@@ -286,8 +287,8 @@ def restricted(sol, order):
     """``sol`` with only the relations and parametric jets of order <= ``order``."""
     solved = {p: rhs for p, rhs in sol.solved.items() if p.index.order <= order}
     parametric = [j for j in sol.parametric if j.index.order <= order]
-    return SolvedSourceRelations(sol.system, order, solved, parametric,
-                                 list(sol.assumptions), sol.stable)
+    return SolvedRelations(sol.system, order, solved, parametric,
+                           list(sol.assumptions), sol.stable)
 
 
 def solve_from_scratch(sys, order, cap=None):
@@ -308,25 +309,34 @@ def solve_from_scratch(sys, order, cap=None):
 
 def assert_same_solution(text, calls):
     """Solve one parsed system at each (order, cap) of ``calls`` in turn, and
-    compare every result and the ledger with the from-scratch loop run in the
-    same sequence on a second parse, which has its own ledger."""
-    ref_sys, new_sys = parse_system(text), parse_system(text)
+    compare every result with the from-scratch loop on a fresh parse of its
+    own, whose ledger holds only what that loop recorded.  The session's
+    ledger is compared with the from-scratch loop run in the same sequence on
+    one second parse."""
+    session_sys, new_sys = parse_system(text), parse_system(text)
     for order, cap in calls:
-        ref = solve_from_scratch(ref_sys, order, cap)
+        ref = solve_from_scratch(parse_system(text), order, cap)
+        solve_from_scratch(session_sys, order, cap)
         new = solve_to_order(new_sys, order, cap)
+        assert new.system is new_sys
         assert list(new.solved) == list(ref.solved)
         for p, rhs in ref.solved.items():
-            assert list(new.solved[p].items()) == list(rhs.items())
+            assert list(new.solved[p].terms.items()) == list(rhs.terms.items())
         assert new.parametric == ref.parametric
         assert new.stable == ref.stable
         assert new.order == ref.order
         assert [as_expr(a) for a in new.assumptions] == [as_expr(a) for a in ref.assumptions]
         assert ([as_expr(a) for a in new_sys.table.assumed_nonzero]
-                == [as_expr(a) for a in ref_sys.table.assumed_nonzero])
-        assert new.system.equations == ref.system.equations
+                == [as_expr(a) for a in session_sys.table.assumed_nonzero])
 
 
 _BUNDLED = ["cartan_essential.dsys", "intransitive_translation.dsys", "janet.dsys"]
+
+
+def _text(name):
+    if name == "ledger_at_order4.dsys":
+        return (Path(__file__).parent / "inputs" / name).read_text()
+    return resources.files("mcforge").joinpath("data", name).read_text()
 
 
 @pytest.mark.parametrize("name", _BUNDLED)
@@ -337,7 +347,7 @@ def test_solve_to_order_equals_from_scratch(name, order):
         assert_same_solution(text, [(order, cap)])
 
 
-@pytest.mark.parametrize("name", _BUNDLED)
+@pytest.mark.parametrize("name", _BUNDLED + ["ledger_at_order4.dsys"])
 @pytest.mark.parametrize("calls", [
     [(3, 7), (1, None), (2, 4)],
     [(4, None), (2, 6), (0, None), (3, 5)],
@@ -348,9 +358,9 @@ def test_solves_of_one_system_equal_from_scratch(name, calls):
     # a later solve may stop at an order below the deepest one an earlier
     # solve eliminated, and must then read only the prefix up to its own:
     # Janet's system at order 4, cap 5 stops at jet order 5, before the
-    # order-4 relations that the solve at order 5, cap 8 found further on
-    text = resources.files("mcforge").joinpath("data", name).read_text()
-    assert_same_solution(text, calls)
+    # order-4 relations that the solve at order 5, cap 8 found further on;
+    # its ledger, too, is the prefix the solve at its own order recorded
+    assert_same_solution(_text(name), calls)
 
 
 _COEFFS = ["1", "-1", "2", "x", "y", "x + y", "1/x", "y/(x + 1)", "(x - y)/y"]
@@ -401,8 +411,8 @@ def test_results_do_not_depend_on_the_order_of_equations(texts, order):
                       for s in (a_sys, b_sys))
     assert a_rows == b_rows
     a, b = solve_to_order(a_sys, order), solve_to_order(b_sys, order)
-    assert ([(p, _exprs(rhs)) for p, rhs in a.solved.items()]
-            == [(p, _exprs(rhs)) for p, rhs in b.solved.items()])
+    assert ([(p, _exprs(rhs.terms)) for p, rhs in a.solved.items()]
+            == [(p, _exprs(rhs.terms)) for p, rhs in b.solved.items()])
     assert (a.parametric, a.stable) == (b.parametric, b.stable)
     # the ledger lists parse-time divisors in line order, so compare it as a set
     assert {as_expr(c) for c in a.assumptions} == {as_expr(c) for c in b.assumptions}
@@ -420,7 +430,7 @@ def test_two_equation_rational_system_keeps_its_answer():
             js(1, 0): "eta_x", js(1, 1): "eta_y", js(0, 0, 0): "xi_xx",
             js(0, 0, 1): "xi_xy", js(0, 1, 1): "xi_yy", js(1, 0, 0): "eta_xx",
             js(1, 0, 1): "eta_xy", js(1, 1, 1): "eta_yy"}
-    solved = {name[p]: {name[j]: str(c) for j, c in rhs.items()}
+    solved = {name[p]: {name[j]: str(c) for j, c in rhs.terms.items()}
               for p, rhs in sol.solved.items()}
     assert solved == {
         "eta_x": {}, "eta": {"xi": "-x*y/(x + 1)"}, "eta_xx": {},

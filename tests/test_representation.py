@@ -70,7 +70,7 @@ def test_every_pipeline_coefficient_is_plain_or_a_function(name):
         walk.terms(eq.terms, "prolonged row")
     solved = detsys.solve_to_order(system, n + 1)
     for rhs in solved.solved.values():
-        walk.terms(rhs, "solved relation")
+        walk.terms(rhs.terms, "solved relation")
     walk.values(solved.assumptions, "solved assumptions")
     lifted = detsys.lift(solved)
     for form in lifted.solved.values():
@@ -79,7 +79,7 @@ def test_every_pipeline_coefficient_is_plain_or_a_function(name):
     eqs = structure.pseudo_group_structure(system, n)
     for form in eqs.equations.values():
         walk.terms(form.terms, "structure equation")
-    walk.values(eqs.assumptions, "structure assumptions")
+    walk.values(eqs.relations.assumptions, "structure assumptions")
     for residue in structure.check_d_squared(eqs).residues.values():
         walk.terms(residue.terms, "d^2 residue")
     walk.values(system.table.assumed_nonzero, "ledger")

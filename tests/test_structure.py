@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -156,8 +157,8 @@ def test_essential_structure_order1(essential_system):
     one = 1
 
     assert eqs.basis == [mc(1), mc(2), mc(1, 0), mc(1, 1), mc(2, 0)]
-    assert eqs.stable
-    assert any(a == X for a in eqs.assumptions)
+    assert eqs.relations.stable
+    assert any(a == X for a in eqs.relations.assumptions)
 
     assert eqs.equations[mc(1)] == TwoForm({(mc(1), mc(1, 1)): -one})
     assert eqs.equations[mc(2)] == TwoForm({(mc(2), mc(1, 1)): -X})
@@ -274,6 +275,19 @@ def test_structure_after_a_lower_cap_matches_a_fresh_system():
     reused = pseudo_group_structure(system, 4, cap=7)
     fresh = pseudo_group_structure(parse_system(bundled("janet.dsys")), 4, cap=7)
     assert _rendered(reused) == _rendered(fresh)
+
+
+def test_structure_after_a_deeper_solve_matches_a_fresh_system():
+    # x != 0 enters this system's ledger only at jet order 4: the order-3
+    # structure solves past it, the order-0 one stops below it
+    text = (Path(__file__).parent / "inputs" / "ledger_at_order4.dsys").read_text()
+    system = parse_system(text)
+    deeper = pseudo_group_structure(system, 3)
+    assert "assuming: X != 0" in render.render_structure(deeper, "text")
+    after = pseudo_group_structure(system, 0)
+    fresh = pseudo_group_structure(parse_system(text), 0)
+    assert _rendered(after) == _rendered(fresh)
+    assert "assuming" not in render.render_structure(fresh, "text")
 
 
 @pytest.mark.parametrize("m,n,calls", [(2, 4, 42), (3, 2, 60)])
